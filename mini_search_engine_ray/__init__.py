@@ -7,7 +7,7 @@ filtering), an inverted index with delta+varint-compressed posting
 lists, positional postings, sorted segment merge, keyword/AND/OR/phrase
 search, TF-IDF and BM25 top-k ranking, PageRank and score fusion —
 re-expressed as `ray.data.Dataset` pipelines: `map_batches` over
-zero-copy Arrow batches, salted `groupby` shuffles for posting-list
+zero-copy Arrow batches, a salted shard-partitioned exchange for posting-list
 construction, immutable Parquet index shards with per-block max-score
 metadata and resumable per-partition checkpoints, and stateful actor
 pools for query serving.

@@ -1,22 +1,26 @@
 """Index build: the flagship pipeline.
 
     read corpus (Parquet, pruned columns)
-      -> map_batches(TokenizeExplode actor pool)     zero-copy Arrow
-      -> groupby("shard")                             THE shuffle (term-
-         .map_groups(write_shard)                     bucketed, salted)
+      -> map_batches(tokenize + explode)              zero-copy Arrow
+      -> write_parquet(partition_cols=["shard"])      phase A: THE
+         (term-bucketed, salted packed fragments)     exchange
+      -> one task per shard: read partition,          phase B
+         write_shard
       -> manifests (tiny) -> meta.json
     [+ docstore write: doc_id, repo, path, lang, sha256, content]
 
 Mirrors the reference lifecycle `addDocument* -> flush ->
 mergeAllSegments` (`InvertedIndexManager.java:162-298,327-440`) but the
-LSM buffer/flush machinery is replaced by the Ray Data shuffle
+LSM buffer/flush machinery is replaced by the Ray Data exchange
 (SURVEY.md §3.1); merge/compaction of incremental builds lives in
-stages/merge.py.
+stages/merge.py, and `add_documents` merges a delta straight from its
+phase-A exchange.
 
 Scale notes (100 TB design point):
-  * exactly ONE all-to-all exchange (the term-bucket groupby); content
-    is dropped before it — the shuffle carries only exploded posting
-    rows (term, shard, doc_id, tf, doc_len[, positions]).
+  * exactly ONE all-to-all exchange (the term-bucket partitioned
+    write); content is dropped before it — the exchange carries only
+    packed posting fragments (term, shard, doc_id, tf, doc_len
+    [, positions]).
   * hot-term skew: `salt > 1` spreads a term over salt sub-shards
     (doc_id mod salt); compaction merges them.
   * resume: shard writes are idempotent, keyed by a build fingerprint;
@@ -31,6 +35,9 @@ from __future__ import annotations
 import functools
 import json
 import os
+import shutil
+import time
+from collections.abc import Callable
 
 import pyarrow as pa
 
@@ -39,6 +46,8 @@ from ..stages.ingest import TokenizeExplode, tokenize_explode_task
 from ..stages.shards import write_shard
 
 META_FILE = "meta.json"
+EXCHANGE_DIR = "exchange"
+EXCHANGE_MARKER = "_COMMITTED.json"
 
 
 def _docstore_batch(t: pa.Table) -> pa.Table:
@@ -87,26 +96,19 @@ def build_index(
     docstore_mode: str = "single_pass",
     codec: str = "varint",
     wordbreak_dict_path: str | None = None,
-    exchange: str = "parquet",
     keep_exchange: bool = False,
     task_num_cpus: int = 1,
 ) -> dict:
     """Build an inverted index under `index_dir`; returns the meta dict.
 
-    exchange="parquet" (default): a two-phase hash exchange — tokenize
-    actors write packed fragments hive-partitioned by shard
-    (`write_parquet(partition_cols=["shard"])`), then one stateless
-    task per shard reads only its partition and builds the segment.
-    This is a map-side-partition / reduce-side-read shuffle: no global
-    sort, and the partitioned fragment directory doubles as a durable
-    checkpoint (phase A is skipped on resume when its commit marker
-    matches the build fingerprint).
-
-    exchange="groupby": single-pipeline `groupby("shard").map_groups`
-    (Ray's sort-based shuffle) — simpler, in-memory, preferable for
-    small corpora; measurably slower at scale because the sort moves
-    every fragment's list-column payload through sample/partition
-    steps.
+    A two-phase hash exchange: in phase A (`write_exchange`) tokenize
+    tasks write packed fragments hive-partitioned by shard
+    (`write_parquet(partition_cols=["shard"])`); in phase B one
+    stateless task per shard reads only its partition and builds the
+    segment. This is a map-side-partition / reduce-side-read shuffle:
+    no global sort, and the partitioned fragment directory doubles as a
+    durable checkpoint (phase A is skipped on resume when its commit
+    marker matches the build fingerprint).
 
     docstore_mode="single_pass" (default): tokenize tasks side-output
     their batch's docstore partition before exploding — the corpus is
@@ -133,6 +135,105 @@ def build_index(
     if done is not None:
         return done
 
+    timings: dict[str, float] = {}
+    wait_docstore = write_exchange(
+        corpus_ds, index_dir, fingerprint=full_fp, n_docs=n_docs,
+        analyzer=analyzer, num_buckets=num_buckets, salt=salt,
+        positional=positional, tokenize_concurrency=tokenize_concurrency,
+        tokenize_batch_size=tokenize_batch_size, write_docstore=write_docstore,
+        docstore_mode=docstore_mode, wordbreak_dict_path=wordbreak_dict_path,
+        task_num_cpus=task_num_cpus, timings=timings,
+    )
+    manifests = _build_shards(
+        index_dir, positional=positional, fingerprint=full_fp, codec=codec,
+        task_num_cpus=task_num_cpus, timings=timings,
+    )
+    wait_docstore()
+    if not keep_exchange:
+        shutil.rmtree(os.path.join(index_dir, EXCHANGE_DIR), ignore_errors=True)
+
+    total_tf = sum(m["total_tf"] for m in manifests)
+    n_postings = sum(m["n_postings"] for m in manifests)
+    meta = {
+        "n_docs": int(n_docs),
+        "total_tokens": int(total_tf),
+        "avgdl": (total_tf / n_docs) if n_docs else 0.0,
+        "n_postings": int(n_postings),
+        "n_shards": len(manifests),
+        "analyzer": analyzer,
+        "num_buckets": num_buckets,
+        "salt": salt,
+        "positional": positional,
+        "codec": codec,
+        "wordbreak_dict_path": wordbreak_dict_path,
+        "fingerprint": full_fp,
+        "shards_written": sum(1 for m in manifests if m["status"] == "written"),
+        "shards_skipped": sum(1 for m in manifests if m["status"] == "skipped"),
+        **{f"{k}_sec": round(v, 3) for k, v in timings.items()},
+    }
+    write_meta(index_dir, meta)
+    return meta
+
+
+def _completed_build_meta(index_dir: str, full_fp: str, *, need_docstore: bool) -> dict | None:
+    """Meta of an already-completed identical build, else None. Checks
+    meta.json fingerprint plus every shard's manifest fingerprint and
+    file presence (cheap: JSON reads, no data)."""
+    from ..stages import shards as shards_mod
+
+    try:
+        meta = load_meta(index_dir)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+    if meta.get("fingerprint") != full_fp:
+        return None
+    if need_docstore and not os.path.isdir(os.path.join(index_dir, "docstore")):
+        return None
+    sids = shards_mod.list_shards(index_dir)
+    if len(sids) != meta.get("n_shards"):
+        return None
+    for sid in sids:
+        fpath, mpath = shards_mod.shard_paths(index_dir, sid)
+        try:
+            with open(mpath) as f:
+                if json.load(f).get("fingerprint") != full_fp:
+                    return None
+        except (FileNotFoundError, json.JSONDecodeError):
+            return None
+        if not os.path.exists(fpath):
+            return None
+    return {**meta, "shards_written": 0, "shards_skipped": meta["n_shards"]}
+
+
+def write_exchange(
+    corpus_ds,
+    index_dir: str,
+    *,
+    fingerprint: str,
+    n_docs: int,
+    analyzer: str = "composable",
+    num_buckets: int = 16,
+    salt: int = 1,
+    positional: bool = False,
+    tokenize_concurrency: int | tuple[int, int] = 2,
+    tokenize_batch_size: int = 1024,
+    write_docstore: bool = True,
+    docstore_mode: str = "single_pass",
+    wordbreak_dict_path: str | None = None,
+    task_num_cpus: int = 1,
+    timings: dict | None = None,
+) -> Callable[[], None]:
+    """Phase A of a build: tokenize `corpus_ds` and write its packed
+    posting fragments to ``index_dir/exchange``, hive-partitioned by
+    shard, then commit the exchange with a marker (`load_exchange_meta`
+    reads it back). Skipped when the marker already holds the same
+    fingerprint. The single-pass docstore side-output lands in
+    ``index_dir/docstore`` and is wiped and committed together with
+    the exchange.
+
+    Returns a function that waits for the "overlap" docstore write (a
+    separate execution that runs concurrently; a no-op in single-pass
+    mode) and raises if it failed."""
     docstore_dir = os.path.join(index_dir, "docstore")
     # heavy-dictionary analyzers (word-break DP / japanese) need the
     # actor-pool path and take dict_path
@@ -145,16 +246,15 @@ def build_index(
     # exchange can't serve a run that needs no docstore side-output and
     # vice versa. none-vs-overlap need NOT be distinguished — the
     # overlap docstore comes from a separate corpus scan, so phase A's
-    # bytes are identical either way (shard manifests keep full_fp —
-    # shard bytes never depend on docstore settings).
-    marker_fp = f"{full_fp}:docstore={'single_pass' if single_pass_docstore else 'external'}"
+    # bytes are identical either way (shard manifests keep the build
+    # fingerprint — shard bytes never depend on docstore settings).
+    marker_fp = f"{fingerprint}:docstore={'single_pass' if single_pass_docstore else 'external'}"
 
     # overlap mode: docstore written CONCURRENTLY with the index pipeline
     # (separate dataset execution in a thread — IO-bound vs CPU-bound)
     docstore_thread = None
     docstore_error: list[BaseException] = []
     if write_docstore and not single_pass_docstore:
-        import shutil
         import threading
 
         # stale partitions (from a prior run's different batching or a
@@ -167,11 +267,17 @@ def build_index(
                 corpus_ds.map_batches(_docstore_batch, batch_format="pyarrow").write_parquet(
                     docstore_dir
                 )
-            except BaseException as e:  # surfaced after join
+            except BaseException as e:  # surfaced by wait_docstore
                 docstore_error.append(e)
 
         docstore_thread = threading.Thread(target=_write_docstore, daemon=True)
         docstore_thread.start()
+
+    def wait_docstore() -> None:
+        if docstore_thread is not None:
+            docstore_thread.join()
+            if docstore_error:
+                raise RuntimeError("docstore write failed") from docstore_error[0]
 
     te_kwargs = dict(
         analyzer=analyzer,
@@ -209,148 +315,48 @@ def build_index(
             num_cpus=task_num_cpus,
         )
 
-    timings: dict[str, float] = {}
-    if exchange == "parquet":
-        manifests = _parquet_exchange(
-            exploded, index_dir, positional=positional, fingerprint=full_fp,
-            marker_fingerprint=marker_fp, codec=codec,
-            keep_exchange=keep_exchange, task_num_cpus=task_num_cpus,
-            also_wipe=[docstore_dir] if single_pass_docstore else [],
-            timings=timings,
-        )
-    else:
-        if single_pass_docstore:
-            # batch boundaries may differ run to run: clear stale parts
-            import shutil
-
-            shutil.rmtree(docstore_dir, ignore_errors=True)
-        writer = functools.partial(
-            write_shard, index_dir=index_dir, positional=positional,
-            fingerprint=full_fp, codec=codec,
-        )
-        manifests = (
-            exploded.groupby("shard")
-            .map_groups(writer, batch_format="pyarrow")
-            .take_all()
-        )
-    if docstore_thread is not None:
-        docstore_thread.join()
-        if docstore_error:
-            raise RuntimeError("docstore write failed") from docstore_error[0]
-
-    total_tf = sum(m["total_tf"] for m in manifests)
-    n_postings = sum(m["n_postings"] for m in manifests)
-    meta = {
-        "n_docs": int(n_docs),
-        "total_tokens": int(total_tf),
-        "avgdl": (total_tf / n_docs) if n_docs else 0.0,
-        "n_postings": int(n_postings),
-        "n_shards": len(manifests),
-        "analyzer": analyzer,
-        "num_buckets": num_buckets,
-        "salt": salt,
-        "positional": positional,
-        "codec": codec,
-        "wordbreak_dict_path": wordbreak_dict_path,
-        "fingerprint": full_fp,
-        "shards_written": sum(1 for m in manifests if m["status"] == "written"),
-        "shards_skipped": sum(1 for m in manifests if m["status"] == "skipped"),
-        **{f"{k}_sec": round(v, 3) for k, v in timings.items()},
-    }
-    tmp = os.path.join(index_dir, META_FILE + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=1)
-    os.replace(tmp, os.path.join(index_dir, META_FILE))
-    return meta
-
-
-def _completed_build_meta(index_dir: str, full_fp: str, *, need_docstore: bool) -> dict | None:
-    """Meta of an already-completed identical build, else None. Checks
-    meta.json fingerprint plus every shard's manifest fingerprint and
-    file presence (cheap: JSON reads, no data)."""
-    from ..stages import shards as shards_mod
-
+    ex_dir = os.path.join(index_dir, EXCHANGE_DIR)
+    t0 = time.time()
     try:
-        meta = load_meta(index_dir)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return None
-    if meta.get("fingerprint") != full_fp:
-        return None
-    if need_docstore and not os.path.isdir(os.path.join(index_dir, "docstore")):
-        return None
-    sids = shards_mod.list_shards(index_dir)
-    if len(sids) != meta.get("n_shards"):
-        return None
-    for sid in sids:
-        fpath, mpath = shards_mod.shard_paths(index_dir, sid)
-        try:
-            with open(mpath) as f:
-                if json.load(f).get("fingerprint") != full_fp:
-                    return None
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        if not os.path.exists(fpath):
-            return None
-    return {**meta, "shards_written": 0, "shards_skipped": meta["n_shards"]}
-
-
-def _parquet_exchange(
-    exploded, index_dir: str, *, positional: bool, fingerprint: str,
-    marker_fingerprint: str | None = None, codec: str = "varint",
-    keep_exchange: bool, task_num_cpus: int = 1,
-    also_wipe: list[str] = (),
-    timings: dict | None = None,
-) -> list[dict]:
-    """Phase A: write packed fragments partitioned by shard (skipped on
-    resume when committed with the same fingerprint). Phase B: one
-    stateless task per shard reads its partition and writes the segment
-    (idempotent via the shard manifests). `also_wipe` dirs (the
-    single-pass docstore, whose partition boundaries follow phase A's
-    batching) are cleared together with a non-resumed exchange and are
-    covered by the same commit marker."""
-    import shutil
-
-    import pyarrow as pa
-    import ray.data as rd
-
-    ex_dir = os.path.join(index_dir, "exchange")
-    marker = os.path.join(ex_dir, "_COMMITTED.json")
-    mfp = marker_fingerprint or fingerprint
-    committed = False
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                committed = json.load(f).get("fingerprint") == mfp
-        except Exception:
-            committed = False
-    import time as _time
-
-    t0 = _time.time()
+        committed = load_exchange_meta(index_dir).get("fingerprint") == marker_fp
+    except (OSError, ValueError):
+        committed = False
     if not committed:
         shutil.rmtree(ex_dir, ignore_errors=True)
-        for d in also_wipe:
-            shutil.rmtree(d, ignore_errors=True)
+        if single_pass_docstore:
+            # batch boundaries may differ run to run: clear stale parts
+            shutil.rmtree(docstore_dir, ignore_errors=True)
         exploded.write_parquet(ex_dir, partition_cols=["shard"])
         os.makedirs(ex_dir, exist_ok=True)
+        marker = os.path.join(ex_dir, EXCHANGE_MARKER)
         with open(marker + ".tmp", "w") as f:
-            json.dump({"fingerprint": mfp}, f)
+            json.dump({
+                "fingerprint": marker_fp, "n_docs": int(n_docs),
+                "analyzer": analyzer, "num_buckets": num_buckets, "salt": salt,
+                "positional": positional, "wordbreak_dict_path": wordbreak_dict_path,
+            }, f)
         os.replace(marker + ".tmp", marker)
     if timings is not None:
-        timings["phase_a_tokenize_exchange"] = _time.time() - t0
-    t1 = _time.time()
+        timings["phase_a_tokenize_exchange"] = time.time() - t0
+    return wait_docstore
 
-    shard_ids = sorted(
-        int(d.split("=", 1)[1])
-        for d in os.listdir(ex_dir)
-        if d.startswith("shard=") and os.path.isdir(os.path.join(ex_dir, d))
-    )
+
+def _build_shards(
+    index_dir: str, *, positional: bool, fingerprint: str, codec: str = "varint",
+    task_num_cpus: int = 1, timings: dict,
+) -> list[dict]:
+    """Phase B: one stateless task per shard reads its partition of the
+    committed exchange and writes the segment (idempotent via the shard
+    manifests)."""
+    import ray.data as rd
+
+    t1 = time.time()
+    shard_ids = exchange_shards(index_dir)
 
     def build_one(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         out = []
         for sid in batch["sid"].to_pylist():
-            t = pq.read_table(os.path.join(ex_dir, f"shard={sid}"))
+            t = read_exchange_partition(index_dir, sid)
             t = t.append_column("shard", pa.array([sid] * t.num_rows, type=pa.int32()))
             out.append(
                 write_shard(t, index_dir=index_dir, positional=positional,
@@ -365,11 +371,44 @@ def _parquet_exchange(
         if shard_ids
         else []
     )
-    if timings is not None:
-        timings["phase_b_shard_build"] = _time.time() - t1
-    if not keep_exchange:
-        shutil.rmtree(ex_dir, ignore_errors=True)
+    timings["phase_b_shard_build"] = time.time() - t1
     return manifests
+
+
+def exchange_shards(index_dir: str) -> list[int]:
+    """Shard ids that have a partition in the exchange of `index_dir`."""
+    ex_dir = os.path.join(index_dir, EXCHANGE_DIR)
+    if not os.path.isdir(ex_dir):
+        return []
+    return sorted(
+        int(d.split("=", 1)[1])
+        for d in os.listdir(ex_dir)
+        if d.startswith("shard=") and os.path.isdir(os.path.join(ex_dir, d))
+    )
+
+
+def read_exchange_partition(index_dir: str, shard_id: int) -> pa.Table | None:
+    """The packed fragments of one shard in the exchange of `index_dir`
+    (None when the shard got no postings)."""
+    import pyarrow.parquet as pq
+
+    path = os.path.join(index_dir, EXCHANGE_DIR, f"shard={shard_id}")
+    return pq.read_table(path) if os.path.isdir(path) else None
+
+
+def load_exchange_meta(index_dir: str) -> dict:
+    """The commit marker of the exchange of `index_dir`: its fingerprint
+    plus the settings a merge needs (n_docs, analyzer, num_buckets, salt,
+    positional, wordbreak_dict_path). Raises if phase A never committed."""
+    with open(os.path.join(index_dir, EXCHANGE_DIR, EXCHANGE_MARKER)) as f:
+        return json.load(f)
+
+
+def write_meta(index_dir: str, meta: dict) -> None:
+    tmp = os.path.join(index_dir, META_FILE + ".tmp")
+    with open(tmp, "w") as f:
+        json.dump(meta, f, indent=1)
+    os.replace(tmp, os.path.join(index_dir, META_FILE))
 
 
 def load_meta(index_dir: str) -> dict:
@@ -386,19 +425,26 @@ def add_documents(
     n_new_docs: int | None = None,
     fingerprint: str = "",
 ) -> dict:
-    """THE live-index update path — delta build + merge, in one call.
+    """THE live-index update path — delta phase A + merge from exchange
+    + docstore link, in one call.
 
     The reference updates an index by buffering `addDocument` calls
     into an in-memory segment, flushing it, and compacting with
     `mergeAllSegments` (`InvertedIndexManager.java:162-440`); the Ray
-    analogue is build-delta-then-merge, which this wrapper packages:
+    analogue, packaged here, runs two dataset executions:
 
-      1. build a DELTA index from ``new_docs_ds`` into ``work_dir``
-         (default ``index_dir + ".delta"``) using the live index's own
-         analyzer / num_buckets / positional / codec / dictionary
-         settings — merge requires them equal;
-      2. ``merge_indexes([live, delta])`` — per-bucket stateless
-         tasks, byte-identical to having built once over the union;
+      1. phase A only (`write_exchange`) over ``new_docs_ds`` into
+         ``work_dir`` (default ``index_dir + ".delta"``): tokenize and
+         write the delta's packed posting fragments, partitioned by
+         shard, with the live index's own analyzer / num_buckets /
+         positional / dictionary settings — merge requires them
+         equal. No delta shards are built;
+      2. ``merge_indexes([live], deltas=[work_dir])`` — per-bucket
+         stateless tasks that fold the live shard and the delta's
+         exchange partition, byte-identical to having built once over
+         the union. Docstore part files are immutable, so the merged
+         docstore hard-links the live and delta parts instead of
+         rewriting them;
       3. swap the merged result into place (``dest=None``) or leave
          it at ``dest``.
 
@@ -415,35 +461,39 @@ def add_documents(
     term searchable in new documents, `compact_index` the live index
     first, then add.
 
-    Resumable: the delta build and every merge bucket checkpoint by
-    fingerprint, so re-running the same call after a crash completes
+    Resumable: the delta's exchange and every merge bucket checkpoint
+    by fingerprint, so re-running the same call after a crash completes
     the same update without redoing finished work.  The in-place swap
     is two directory renames at the very end (live -> ``.old``,
     merged -> live); a crash between them leaves ``.old`` intact for
-    manual recovery.  Returns the merged meta dict.
+    manual recovery.  Returns the merged meta dict, whose
+    ``phase_a_tokenize_exchange_sec`` / ``merge_sec`` / ``docstore_sec``
+    time the three stages.
     """
-    import shutil
-
     from ..stages.merge import merge_indexes
 
     meta = load_meta(index_dir)
     delta_dir = work_dir or index_dir + ".delta"
     merged_dir = dest or index_dir + ".merged"
     has_docstore = os.path.isdir(os.path.join(index_dir, "docstore"))
-    build_index(
+    n_docs = new_docs_ds.count() if n_new_docs is None else n_new_docs
+    timings: dict[str, float] = {}
+    wait_docstore = write_exchange(
         new_docs_ds,
         delta_dir,
+        fingerprint=f"delta:{fingerprint}:{meta['fingerprint']}:{n_docs}",
+        n_docs=n_docs,
         analyzer=meta["analyzer"],
         num_buckets=meta["num_buckets"],
         positional=bool(meta.get("positional")),
-        codec=meta.get("codec", "varint"),
-        n_docs=n_new_docs,
-        fingerprint=f"delta:{fingerprint}:{meta['fingerprint']}",
         write_docstore=has_docstore,
         wordbreak_dict_path=meta.get("wordbreak_dict_path"),
+        timings=timings,
     )
+    wait_docstore()
     merged = merge_indexes(
-        [index_dir, delta_dir], merged_dir, merge_docstore=has_docstore
+        [index_dir], merged_dir, deltas=[delta_dir], merge_docstore=has_docstore,
+        timings=timings,
     )
     if dest is None:
         old = index_dir + ".old"

@@ -245,11 +245,10 @@ class TokenizeExplode:
 
     def _packed_table(self, shard, r_term, r_doc, tf, r_dl, uniq_terms, g_pos, starts, n_tok) -> pa.Table:
         """Pack posting rows into ONE row per (batch, shard) with list
-        columns — the pre-aggregated exchange format. The downstream
-        groupby("shard") then sorts thousands of chunky fragment rows
-        instead of tens of millions of posting rows (the sort-shuffle
-        was the scaling bottleneck; see stages/shards._unpack_packed
-        for the inverse)."""
+        columns — the pre-aggregated exchange format. The exchange
+        then moves thousands of chunky fragment rows instead of tens of
+        millions of posting rows (see stages/shards._unpack_packed for
+        the inverse)."""
         order2 = np.argsort(shard, kind="stable")
         s_shard = shard[order2]
         n_post = len(s_shard)
