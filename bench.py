@@ -183,25 +183,25 @@ def bench_query_p95(out: dict, index_dir: str) -> None:
     vocab = _QUERY_VOCAB
     queries = _make_queries()
     s.search_bm25(vocab[:2], 10)  # warm mmaps
-    lat = []
-    t0 = time.time()
-    for q in queries:
-        tq = time.time()
-        s.search_bm25(q, 10)
-        lat.append(time.time() - tq)
-    total = time.time() - t0
+
+    def run(**kw) -> tuple[float, float]:
+        """(total s, p95 ms) of the query batch on one BM25 path."""
+        lat = []
+        t0 = time.time()
+        for q in queries:
+            tq = time.time()
+            s.search_bm25(q, 10, **kw)
+            lat.append(time.time() - tq)
+        return time.time() - t0, round(float(np.percentile(lat, 95)) * 1000, 2)
+
+    total, out["query_p95_ms"] = run()  # MaxScore, the serving default
     out["queries"]["query_200x"] = round(total, 3)
-    out["query_p95_ms"] = round(float(np.percentile(lat, 95)) * 1000, 2)
     out["query_qps"] = round(len(queries) / total, 1)
     # same batch through the DAAT block-max WAND traversal
-    lat_w = []
-    t0 = time.time()
-    for q in queries:
-        tq = time.time()
-        s.search_bm25(q, 10, method="wand")
-        lat_w.append(time.time() - tq)
-    out["queries"]["query_200x_wand"] = round(time.time() - t0, 3)
-    out["query_wand_p95_ms"] = round(float(np.percentile(lat_w, 95)) * 1000, 2)
+    total, out["query_wand_p95_ms"] = run(method="wand")
+    out["queries"]["query_200x_wand"] = round(total, 3)
+    # and through the exhaustive oracle, so one run compares all three
+    _, out["query_exhaustive_p95_ms"] = run(prune=False)
 
 
 def bench_query_distributed(out: dict) -> None:
@@ -1614,6 +1614,10 @@ def bench_tpch(out: dict) -> None:
     row per query."""
     from mini_search_engine_ray.pipelines.driver_queries import QUERIES
 
+    # the exact row counts are those of the default sf0.1 tier; a
+    # smaller GRAFT_SF_DIR tier may hold fewer groups, so there every
+    # query only has to return rows
+    exact = os.path.basename(os.path.normpath(SF_DIR)) == "sf0.1"
     for name, nrows in (("pricing_summary", 6), ("revenue_band_q6", 1),
                         ("returned_item_revenue", 20),
                         ("top_supplier_revenue", None),
@@ -1627,7 +1631,7 @@ def bench_tpch(out: dict) -> None:
         else:
             got = res.num_rows
         out["queries"][f"tpch_{name}"] = round(time.time() - t0, 3)
-        assert got >= 1 and (nrows is None or got == nrows), \
+        assert got >= 1 and (nrows is None or not exact or got == nrows), \
             (name, got, nrows)
 
 

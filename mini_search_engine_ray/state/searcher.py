@@ -24,6 +24,16 @@ Query surface (parity with `InvertedIndexManager`):
                    rank-identical (tested)
   delete_documents keyword tombstones filtered at query time
                    (IIM:1548-1551, 861-869); dropped at compaction
+
+Per-term state is decoded once per searcher and cached beside the
+postings (both caches hold up to POSTINGS_CACHE_MAX entries): the
+decoded posting arrays, and for BM25 a `_TermState` with the block-max
+metadata as numpy arrays and the BM25 denominators of every posting and
+block bound. The denominators depend on avgdl, which distributed
+serving overrides after construction, so a state is keyed by the avgdl
+it was built with and rebuilt when that differs. A warm BM25 query thus
+only computes weights, merges candidates and selects its top-k, and
+`_topk` sorts only the docs at or above the kth score.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import pyarrow as pa
 from ..functions.analyzers import make_analyzer
 from ..pipelines.build import load_meta
 from ..stages.ingest import term_bucket
-from ..stages.shards import decode_posting_row, open_shard
+from ..stages.shards import BLOCK_SIZE, decode_posting_row, open_shard
 
 _LOG = logging.getLogger(__name__)
 
@@ -80,6 +90,65 @@ def save_tombstones(index_dir: str, terms: set[str]) -> None:
     with open(tmp, "w") as f:
         json.dump(sorted(terms), f)
     os.replace(tmp, p)
+
+
+# entries a searcher caches, for postings and for BM25 term state alike
+POSTINGS_CACHE_MAX = 100_000
+
+COUNTER_KEYS = ("queries", "postings_scored", "blocks_skipped",
+                "candidates_admitted", "docs_rescored")
+
+
+def _bm25_den(tf, dl, avgdl: float):
+    return tf + K1 * (1.0 - B + B * dl / avgdl)
+
+
+def _bm25_weight(tf, den, idf, qw):
+    """BM25 term weight over a precomputed `_bm25_den`. The operation
+    order is that of the one-expression formula, and int64 tf/dl
+    promote to the float64 an explicit cast would give, so weights
+    are bitwise the same as computing the formula in full."""
+    return qw * idf * (tf * (K1 + 1.0)) / den
+
+
+def _kth(scores: np.ndarray, k: int):
+    """The k-th largest score, 1 <= k <= len(scores)."""
+    n = len(scores)
+    return np.partition(scores, n - k)[n - k]
+
+
+def _probe(docs: np.ndarray, cands: np.ndarray):
+    """Look sorted candidate ids up in a sorted posting list: (mask
+    over cands of those present, their posting indices). One binary
+    search per candidate — O(|cands| log df), so a long posting list
+    is never scanned."""
+    if not len(docs):
+        return np.zeros(len(cands), dtype=bool), np.empty(0, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(docs, cands), len(docs) - 1)
+    hit = docs[pos] == cands
+    return hit, pos[hit]
+
+
+class _TermState:
+    """What BM25 needs of one term besides its postings, computed once
+    per searcher: the per-posting denominator `_bm25_den`, and the
+    block-max metadata (last doc, max tf and the denominator at the
+    min doc length of each posting block). The block fields are None
+    when the term spans several salted sub-shards, whose merged
+    postings do not follow per-sub-shard block boundaries. The
+    denominators depend on `avgdl`, kept here so the searcher can
+    rebuild the state when its avgdl is overridden."""
+
+    __slots__ = ("avgdl", "den", "blk_last", "blk_max_tf", "blk_den")
+
+    def __init__(self, p, block_meta, avgdl: float) -> None:
+        self.avgdl = avgdl
+        self.den = _bm25_den(p[1], p[2], avgdl)
+        if block_meta is None:
+            self.blk_last = self.blk_max_tf = self.blk_den = None
+        else:
+            self.blk_last, self.blk_max_tf, blk_min_dl = block_meta
+            self.blk_den = _bm25_den(self.blk_max_tf, blk_min_dl, avgdl)
 
 
 class _TermDict:
@@ -168,6 +237,9 @@ class IndexSearcher:
         self._shards: dict[int, pa.Table | None] = {}
         self._terms: dict[int, _TermDict | None] = {}
         self._postings_cache: dict[str, tuple | None] = {}
+        self._bm25_states: dict[str, _TermState] = {}
+        # MaxScore work tallies, summed over this searcher's queries
+        self.counters = Counter(dict.fromkeys(COUNTER_KEYS, 0))
 
     # -- shard access ---------------------------------------------------
 
@@ -223,7 +295,7 @@ class IndexSearcher:
                     allpos = [pl for x in parts for pl in x["positions"]]
                     p["positions"] = [allpos[i] for i in order]
             res = (p["doc_ids"], p["tfs"], p["doc_lens"], p.get("positions"))
-        if len(self._postings_cache) < 100_000:
+        if len(self._postings_cache) < POSTINGS_CACHE_MAX:
             self._postings_cache[key] = res
         return res
 
@@ -542,8 +614,16 @@ class IndexSearcher:
 
     # -- ranked search --------------------------------------------------
 
-    def _bm25_term_weight(self, tf, dl, idf, qw):
-        return qw * idf * (tf * (K1 + 1.0)) / (tf + K1 * (1.0 - B + B * dl / self.avgdl))
+    def _bm25_state(self, term: str, p) -> _TermState:
+        """The term's cached `_TermState`, rebuilt when `self.avgdl`
+        differs from the one it was built with (distributed serving
+        overrides avgdl after construction)."""
+        st = self._bm25_states.get(term)
+        if st is None or st.avgdl != self.avgdl:
+            st = _TermState(p, self._block_meta(term), self.avgdl)
+            if len(self._bm25_states) < POSTINGS_CACHE_MAX:
+                self._bm25_states[term] = st
+        return st
 
     def _bm25_idf(self, dfv: int) -> float:
         return bm25_idf(dfv, self.n_docs)
@@ -558,9 +638,14 @@ class IndexSearcher:
     ):
         """BM25 top-k: returns (doc_ids, scores), score desc, ties by
         doc_id asc. `prune=True` prunes with `method`:
-        "maxscore" (term-at-a-time MaxScore + block-max skipping) or
+        "maxscore" (term-at-a-time MaxScore + block-max upper bounds) or
         "wand" (document-at-a-time block-max WAND, Ding & Suel 2011) —
-        both rank-identical to the exhaustive path (tested)."""
+        both rank-identical to the exhaustive path (tested).
+
+        A warm query does only query-dependent work: each term's BM25
+        denominators and block-max metadata are computed once per
+        searcher (`_TermState`, cached beside the postings under the
+        same entry cap) and rebuilt only when `self.avgdl` changes."""
         keywords = [query] if isinstance(query, str) else query
         toks = [t for ks in self._analyze_keywords(keywords) for t in ks]
         qtf = Counter(toks)
@@ -594,10 +679,10 @@ class IndexSearcher:
             p = self.postings(t)
             if p is None:
                 continue
-            terms.append((t, qw, idf, p))
+            terms.append((qw, idf, p, self._bm25_state(t, p)))
         if not terms:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        if not prune or k is None:
+        if not prune or k is None or k <= 0:
             return self._bm25_exhaustive(terms, k)
         if method == "wand":
             return self._bm25_wand(terms, k)
@@ -648,34 +733,21 @@ class IndexSearcher:
         can differ by 1 ulp and flip the doc_id tie-break between docs
         whose true scores are exactly equal)."""
         scores = np.zeros(len(docs_sorted))
-        for _, qw, idf, p in terms:
-            # probe CANDIDATES into the posting list (O(|cand| log df)),
-            # not postings into candidates — a high-df term would
-            # otherwise cost O(df log |cand|) and erode the pruning win
-            idx = np.searchsorted(p[0], docs_sorted)
-            ok = idx < len(p[0])
-            ok[ok] = p[0][idx[ok]] == docs_sorted[ok]
-            if ok.any():
-                sel = idx[ok]
-                w = self._bm25_term_weight(
-                    p[1][sel].astype(np.float64), p[2][sel].astype(np.float64), idf, qw
-                )
-                np.add.at(scores, np.flatnonzero(ok), w)
+        for qw, idf, p, st in terms:
+            hit, sel = _probe(p[0], docs_sorted)
+            scores[hit] += _bm25_weight(p[1][sel], st.den[sel], idf, qw)
         return scores
 
     def _bm25_exhaustive(self, terms, k):
-        docs = np.concatenate([p[0] for _, _, _, p in terms])
+        docs = np.concatenate([p[0] for _, _, p, _ in terms])
         contribs = np.concatenate(
-            [
-                self._bm25_term_weight(p[1].astype(np.float64), p[2].astype(np.float64), idf, qw)
-                for _, qw, idf, p in terms
-            ]
+            [_bm25_weight(p[1], st.den, idf, qw) for qw, idf, p, st in terms]
         )
         uniq, scores = self._accumulate(docs, contribs)
         return self._topk(uniq, scores, k)
 
     def _bm25_maxscore(self, terms, k: int):
-        """Term-at-a-time MaxScore with block-max skipping.
+        """Term-at-a-time MaxScore over block-max upper bounds.
 
         Process terms in descending max-contribution (upper-bound)
         order. While processing term i, a doc NOT yet in the
@@ -684,78 +756,61 @@ class IndexSearcher:
         rem_ub[i] < theta (current kth partial score, a lower bound of
         the kth final score), new docs are provably out of the top-k
         (strictly — so doc_id tie-breaks are unaffected) and the term
-        only updates existing candidates, skipping posting blocks whose
-        doc range contains no candidate (block-max skip pointers).
-        Every term still updates all candidates, so returned scores are
-        exact and rank-identical to the exhaustive path (tested).
+        only updates existing candidates: each candidate is probed into
+        the posting list by binary search, so blocks holding no
+        candidate are never scored. Every term still updates all
+        candidates, so returned scores are exact and rank-identical to
+        the exhaustive path (tested). `self.counters` tallies the work.
         """
+        cnt = self.counters
+        cnt["queries"] += 1
+        if len(terms) == 1:
+            # exact: the exhaustive bincount sums 0.0 + w, which is w
+            # (the + 0.0 maps a -0.0 weight to 0.0 the same way)
+            qw, idf, p, st = terms[0]
+            w = _bm25_weight(p[1], st.den, idf, qw)
+            cnt["postings_scored"] += len(w)
+            cnt["candidates_admitted"] += len(w)
+            ids, scores = self._topk(p[0], w, k)
+            return ids, scores + 0.0
         with_ub = []
-        for t, qw, idf, p in terms:
-            bm = self._block_meta(t)  # None when salted sub-shards merged
-            if bm is not None:
-                ub = float(
-                    self._bm25_term_weight(
-                        bm[1].astype(np.float64), bm[2].astype(np.float64), idf, qw
-                    ).max()
-                )
+        for qw, idf, p, st in terms:
+            if st.blk_last is not None:
+                ub = float(_bm25_weight(st.blk_max_tf, st.blk_den, idf, qw).max())
                 w_full = None
-            else:
-                w_full = self._bm25_term_weight(
-                    p[1].astype(np.float64), p[2].astype(np.float64), idf, qw
-                )
+            else:  # salted sub-shards merged: bound from the exact weights
+                w_full = _bm25_weight(p[1], st.den, idf, qw)
                 ub = float(w_full.max())
-            with_ub.append((t, qw, idf, p, bm, w_full, ub))
-        with_ub.sort(key=lambda x: -x[6])
-        rem_ub = np.r_[[x[6] for x in with_ub], 0.0][::-1].cumsum()[::-1]
+            with_ub.append((qw, idf, p, st, w_full, ub))
+        with_ub.sort(key=lambda x: -x[5])
+        rem_ub = np.r_[[x[5] for x in with_ub], 0.0][::-1].cumsum()[::-1]
 
-        acc_docs = np.empty(0, dtype=np.int64)
-        acc_scores = np.empty(0)
-        theta = -np.inf
-        for i, (t, qw, idf, p, bm, w_full, ub) in enumerate(with_ub):
+        acc_docs = acc_scores = None
+        for i, (qw, idf, p, st, w_full, _) in enumerate(with_ub):
             docs = p[0]
-            tfs = p[1].astype(np.float64)
-            dls = p[2].astype(np.float64)
-            admit_new = not (len(acc_docs) >= k and rem_ub[i] < self._theta_slack(theta))
-            if admit_new:
-                w = w_full if w_full is not None else self._bm25_term_weight(tfs, dls, idf, qw)
-                m_docs = np.concatenate([acc_docs, docs])
-                m_scores = np.concatenate([acc_scores, w])
-                uniq, inv = np.unique(m_docs, return_inverse=True)
-                acc_scores = np.bincount(inv, weights=m_scores)
-                acc_docs = uniq
-            elif len(acc_docs):
-                if bm is not None:
-                    # block-max skip: only touch blocks overlapping a candidate
-                    blk_last = bm[0]
-                    blk_first = np.r_[np.int64(-1), blk_last[:-1]] + 1
-                    lo = np.searchsorted(acc_docs, blk_first, side="left")
-                    hi = np.searchsorted(acc_docs, blk_last, side="right")
-                    live = np.flatnonzero(hi > lo)
-                    if len(live) == 0:
-                        continue
-                    from ..stages.shards import BLOCK_SIZE
-
-                    keep_idx = np.concatenate(
-                        [
-                            np.arange(b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, len(docs)))
-                            for b in live.tolist()
-                        ]
-                    )
+            if (acc_docs is not None and len(acc_docs) >= k
+                    and rem_ub[i] < self._theta_slack(_kth(acc_scores, k))):
+                # no new doc can reach the top-k: update candidates only
+                hit, sel = _probe(docs, acc_docs)
+                if st.blk_last is not None:
+                    touched = len(np.unique(sel // BLOCK_SIZE))
+                    cnt["blocks_skipped"] += len(st.blk_last) - touched
+                if w_full is not None:
+                    acc_scores[hit] += w_full[sel]
                 else:
-                    keep_idx = np.arange(len(docs))
-                mask = np.isin(docs[keep_idx], acc_docs, assume_unique=True)
-                if not mask.any():
-                    continue
-                sel = keep_idx[mask]
-                w = (
-                    w_full[sel]
-                    if w_full is not None
-                    else self._bm25_term_weight(tfs[sel], dls[sel], idf, qw)
+                    acc_scores[hit] += _bm25_weight(p[1][sel], st.den[sel], idf, qw)
+                cnt["postings_scored"] += len(sel)
+                continue
+            w = w_full if w_full is not None else _bm25_weight(p[1], st.den, idf, qw)
+            n_before = 0 if acc_docs is None else len(acc_docs)
+            if acc_docs is None:  # the first term's postings ARE the accumulator
+                acc_docs, acc_scores = docs, w
+            else:
+                acc_docs, acc_scores = self._accumulate(
+                    np.concatenate([acc_docs, docs]), np.concatenate([acc_scores, w])
                 )
-                pos = np.searchsorted(acc_docs, docs[sel])
-                np.add.at(acc_scores, pos, w)
-            if len(acc_docs) >= k:
-                theta = np.partition(acc_scores, len(acc_scores) - k)[len(acc_scores) - k]
+            cnt["postings_scored"] += len(docs)
+            cnt["candidates_admitted"] += len(acc_docs) - n_before
         # The accumulator summed per-doc contributions in UB-sorted term
         # order (can differ from the exhaustive sum by ~ulps). Rescore
         # in original term order — bitwise-identical to exhaustive — but
@@ -764,10 +819,10 @@ class IndexSearcher:
         # exact kth, so the full-candidate rescore (a second pass over
         # every query-term posting) is unnecessary.
         if len(acc_docs) > k:
-            kth = np.partition(acc_scores, len(acc_scores) - k)[len(acc_scores) - k]
-            band = acc_docs[acc_scores >= self._theta_slack(kth)]
+            band = acc_docs[acc_scores >= self._theta_slack(_kth(acc_scores, k))]
         else:
             band = acc_docs
+        cnt["docs_rescored"] += len(band)
         return self._topk(band, self._exact_rescore(terms, band), k)
 
     def _bm25_wand(self, terms, k: int):
@@ -785,25 +840,18 @@ class IndexSearcher:
         import heapq
 
         state = []
-        for ti, (t, qw, idf, p) in enumerate(terms):
-            docs = p[0]
-            tfs = p[1].astype(np.float64)
-            dls = p[2].astype(np.float64)
-            bm = self._block_meta(t)
-            if bm is not None:
-                blk_last = bm[0]
-                blk_ub = self._bm25_term_weight(
-                    bm[1].astype(np.float64), bm[2].astype(np.float64), idf, qw
-                )
+        for ti, (qw, idf, p, st) in enumerate(terms):
+            docs, tfs = p[0], p[1]
+            if st.blk_last is not None:
+                blk_last = st.blk_last
+                blk_ub = _bm25_weight(st.blk_max_tf, st.blk_den, idf, qw)
             else:  # salted sub-shards merged: one whole-list block
                 blk_last = docs[-1:].copy()
-                blk_ub = np.asarray(
-                    [self._bm25_term_weight(tfs, dls, idf, qw).max()]
-                )
+                blk_ub = np.asarray([_bm25_weight(tfs, st.den, idf, qw).max()])
             state.append(
                 {
                     "ti": ti,  # original term order (exact-score summation)
-                    "docs": docs, "tfs": tfs, "dls": dls, "qw": qw, "idf": idf,
+                    "docs": docs, "tfs": tfs, "den": st.den, "qw": qw, "idf": idf,
                     "cur": 0, "n": len(docs),
                     "blk_last": blk_last, "blk_ub": blk_ub,
                     "ub": float(blk_ub.max()),
@@ -883,9 +931,7 @@ class IndexSearcher:
                     ):
                         sl = slice(s["cur"], upper)
                         pos = np.searchsorted(union, s["docs"][sl])
-                        w = self._bm25_term_weight(
-                            s["tfs"][sl], s["dls"][sl], s["idf"], s["qw"]
-                        )
+                        w = _bm25_weight(s["tfs"][sl], s["den"][sl], s["idf"], s["qw"])
                         np.add.at(scores_v, pos, w)
                         s["cur"] = upper
                     for d, sc in zip(union.tolist(), scores_v.tolist()):
@@ -911,6 +957,16 @@ class IndexSearcher:
 
     @staticmethod
     def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int | None):
+        """First k of (score desc, doc_id asc). For 0 < k < n only the
+        docs scoring >= the kth score (every boundary tie included) are
+        sorted; k None, k <= 0 and k >= n sort everything, as slicing
+        the full order does."""
+        n = len(scores)
+        if k is not None and 0 < k < n:
+            # `~(s < kth)` rather than `s >= kth` keeps NaN scores, which
+            # the full lexsort would place last
+            keep = np.flatnonzero(~(scores < _kth(scores, k)))
+            doc_ids, scores = doc_ids[keep], scores[keep]
         order = np.lexsort((doc_ids, -scores))
         if k is not None:
             order = order[:k]
