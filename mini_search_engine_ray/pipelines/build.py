@@ -4,8 +4,8 @@
       -> map_batches(tokenize + explode)              zero-copy Arrow
       -> write_parquet(partition_cols=["shard"])      phase A: THE
          (term-bucketed, salted packed fragments)     exchange
-      -> one task per shard: read partition,          phase B
-         write_shard
+      -> one task per CPU slot, shards dealt          phase B
+         round-robin: read partition, write_shard
       -> manifests (tiny) -> meta.json
     [+ docstore write: doc_id, repo, path, lang, sha256, content]
 
@@ -26,8 +26,9 @@ Scale notes (100 TB design point):
   * resume: shard writes are idempotent, keyed by a build fingerprint;
     re-running skips committed shards (and a re-run after partial
     failure produces byte-identical output — tested).
-  * num_buckets sizes shard tasks: target ~ total_postings/num_buckets
-    rows per shard task; raise it with corpus size.
+  * num_buckets sizes shards: target ~ total_postings/num_buckets
+    rows per shard; raise it with corpus size. The number of phase-B
+    tasks comes from the cluster instead (`stages/fanout.py`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from collections.abc import Callable
 import pyarrow as pa
 
 from ..sources.corpus import sha256_column
+from ..stages.fanout import run_keyed
 from ..stages.ingest import TokenizeExplode, tokenize_explode_task
 from ..stages.shards import write_shard
 
@@ -103,10 +105,11 @@ def build_index(
 
     A two-phase hash exchange: in phase A (`write_exchange`) tokenize
     tasks write packed fragments hive-partitioned by shard
-    (`write_parquet(partition_cols=["shard"])`); in phase B one
-    stateless task per shard reads only its partition and builds the
-    segment. This is a map-side-partition / reduce-side-read shuffle:
-    no global sort, and the partitioned fragment directory doubles as a
+    (`write_parquet(partition_cols=["shard"])`); in phase B stateless
+    tasks, at most one per `task_num_cpus` CPUs of the cluster, each
+    read only their shards' partitions and build those segments. This
+    is a map-side-partition / reduce-side-read shuffle: no global sort,
+    and the partitioned fragment directory doubles as a
     durable checkpoint (phase A is skipped on resume when its commit
     marker matches the build fingerprint).
 
@@ -144,7 +147,7 @@ def build_index(
         docstore_mode=docstore_mode, wordbreak_dict_path=wordbreak_dict_path,
         task_num_cpus=task_num_cpus, timings=timings,
     )
-    manifests = _build_shards(
+    manifests, phase_b_tasks = _build_shards(
         index_dir, positional=positional, fingerprint=full_fp, codec=codec,
         task_num_cpus=task_num_cpus, timings=timings,
     )
@@ -169,6 +172,7 @@ def build_index(
         "fingerprint": full_fp,
         "shards_written": sum(1 for m in manifests if m["status"] == "written"),
         "shards_skipped": sum(1 for m in manifests if m["status"] == "skipped"),
+        "phase_b_tasks": phase_b_tasks,
         **{f"{k}_sec": round(v, 3) for k, v in timings.items()},
     }
     write_meta(index_dir, meta)
@@ -344,35 +348,22 @@ def write_exchange(
 def _build_shards(
     index_dir: str, *, positional: bool, fingerprint: str, codec: str = "varint",
     task_num_cpus: int = 1, timings: dict,
-) -> list[dict]:
-    """Phase B: one stateless task per shard reads its partition of the
-    committed exchange and writes the segment (idempotent via the shard
-    manifests)."""
-    import ray.data as rd
-
+) -> tuple[list[dict], int]:
+    """Phase B: stateless tasks, at most one per `task_num_cpus` CPUs of
+    the cluster (`stages/fanout.run_keyed`), each reading its shards'
+    partitions of the committed exchange and writing their segments
+    (idempotent via the shard manifests). Returns (manifests, tasks)."""
     t1 = time.time()
-    shard_ids = exchange_shards(index_dir)
 
-    def build_one(batch: pa.Table) -> pa.Table:
-        out = []
-        for sid in batch["sid"].to_pylist():
-            t = read_exchange_partition(index_dir, sid)
-            t = t.append_column("shard", pa.array([sid] * t.num_rows, type=pa.int32()))
-            out.append(
-                write_shard(t, index_dir=index_dir, positional=positional,
-                            fingerprint=fingerprint, codec=codec)
-            )
-        return pa.concat_tables(out)
+    def build_one(sid: int) -> pa.Table:
+        t = read_exchange_partition(index_dir, sid)
+        t = t.append_column("shard", pa.array([sid] * t.num_rows, type=pa.int32()))
+        return write_shard(t, index_dir=index_dir, positional=positional,
+                           fingerprint=fingerprint, codec=codec)
 
-    manifests = (
-        rd.from_items([{"sid": s} for s in shard_ids], override_num_blocks=len(shard_ids))
-        .map_batches(build_one, batch_size=1, batch_format="pyarrow", num_cpus=task_num_cpus)
-        .take_all()
-        if shard_ids
-        else []
-    )
+    out = run_keyed(exchange_shards(index_dir), build_one, num_cpus=task_num_cpus)
     timings["phase_b_shard_build"] = time.time() - t1
-    return manifests
+    return out
 
 
 def exchange_shards(index_dir: str) -> list[int]:
@@ -439,8 +430,8 @@ def add_documents(
          shard, with the live index's own analyzer / num_buckets /
          positional / dictionary settings — merge requires them
          equal. No delta shards are built;
-      2. ``merge_indexes([live], deltas=[work_dir])`` — per-bucket
-         stateless tasks that fold the live shard and the delta's
+      2. ``merge_indexes([live], deltas=[work_dir])`` — stateless
+         tasks, one per CPU, that fold each live shard and the delta's
          exchange partition, byte-identical to having built once over
          the union. Docstore part files are immutable, so the merged
          docstore hard-links the live and delta parts instead of

@@ -325,27 +325,18 @@ def q_bpe_token_count(sf_dir: str):
 def q_term_stats(sf_dir: str):
     """(term, df, total_tf) read back from the BUILT index shards —
     checks posting-list construction itself against SQL."""
-    import ray.data as rd
-
+    from ..stages.fanout import keyed_dataset
     from ..stages.shards import list_shards, open_shard
 
     index_dir = get_index(sf_dir)
-    sids = list_shards(index_dir)
+    empty = pa.schema([("term", pa.string()), ("df", pa.int64()),
+                       ("total_tf", pa.int64())]).empty_table()
 
-    def read(batch: pa.Table) -> pa.Table:
-        parts = []
-        for sid in batch["sid"].to_pylist():
-            t = open_shard(index_dir, sid)
-            if t is not None:
-                parts.append(t.select(["term", "df", "total_tf"]))
-        return pa.concat_tables(parts) if parts else pa.table(
-            {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64()),
-             "total_tf": pa.array([], pa.int64())}
-        )
+    def read(sid: int) -> pa.Table:
+        t = open_shard(index_dir, sid)
+        return empty if t is None else t.select(["term", "df", "total_tf"])
 
-    return rd.from_items([{"sid": s} for s in sids], override_num_blocks=max(1, len(sids))).map_batches(
-        read, batch_size=1, batch_format="pyarrow"
-    )
+    return keyed_dataset(list_shards(index_dir), read)
 
 
 def q_search_keyword(sf_dir: str):
@@ -14947,32 +14938,24 @@ def q_term_df_hist(sf_dir: str):
     ONE df-keyed bounded grouped count (distinct df values ≤ corpus
     doc count, in practice a few hundred) finishes it — the term
     strings themselves never leave the shard readers."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
+    from ..stages.fanout import keyed_dataset
     from ..stages.shards import list_shards, open_shard
 
     index_dir = get_index(sf_dir)
-    sids = list_shards(index_dir)
     part_schema = pa.schema([("df", pa.int64()), ("one", pa.int64())])
 
-    def read(batch: pa.Table) -> pa.Table:
-        parts = []
-        for sid in batch["sid"].to_pylist():
-            t = open_shard(index_dir, sid)
-            if t is not None and t.num_rows:
-                parts.append(pa.table({
-                    "df": t["df"].cast(pa.int64()),
-                    "one": pa.array(np.ones(t.num_rows, np.int64)),
-                }))
-        return pa.concat_tables(parts) if parts else \
-            part_schema.empty_table()
+    def read(sid: int) -> pa.Table:
+        t = open_shard(index_dir, sid)
+        if t is None:
+            return part_schema.empty_table()
+        return pa.table({
+            "df": t["df"].cast(pa.int64()),
+            "one": pa.array(np.ones(t.num_rows, np.int64)),
+        })
 
-    shards_ds = rd.from_items(
-        [{"sid": s} for s in sids],
-        override_num_blocks=max(1, len(sids)))
     return sorted_groupby_agg(
-        shards_ds.map_batches(read, batch_size=1, batch_format="pyarrow"),
+        keyed_dataset(list_shards(index_dir), read),
         ["df"], [("one", "sum", "n_terms")], in_schema=part_schema)
 
 
@@ -17943,18 +17926,23 @@ Q6_LO_US = 946_684_800_000_000       # 2000-01-01T00:00:00Z
 Q6_HI_US = 978_307_200_000_000       # 2001-01-01T00:00:00Z
 
 
+def _non_null_numpy(t: pa.Table, name: str) -> np.ndarray:
+    """Column `name` as numpy; raises on nulls, which would become NaN
+    and then an undefined int64 in the exact-integer encodings."""
+    if t[name].null_count:
+        raise ValueError(f"column {name!r} has {t[name].null_count} null(s); "
+                         "exact-integer encodings need non-null values")
+    return t[name].to_numpy(zero_copy_only=False)
+
+
 def _li_ints(t: pa.Table):
     """Shared exact integer encodings for the lineitem money columns:
     q = floor(quantity + 0.5), pc = price cents, dp = discount pct,
     tp = tax pct — all half-up, replayed verbatim by the oracles."""
-    q = np.floor(t["l_quantity"].to_numpy(zero_copy_only=False)
-                 + 0.5).astype(np.int64)
-    pc_ = np.floor(t["l_extendedprice"].to_numpy(zero_copy_only=False)
-                   * 100 + 0.5).astype(np.int64)
-    dp = np.floor(t["l_discount"].to_numpy(zero_copy_only=False)
-                  * 100 + 0.5).astype(np.int64)
-    tp = np.floor(t["l_tax"].to_numpy(zero_copy_only=False)
-                  * 100 + 0.5).astype(np.int64)
+    q = np.floor(_non_null_numpy(t, "l_quantity") + 0.5).astype(np.int64)
+    pc_ = np.floor(_non_null_numpy(t, "l_extendedprice") * 100 + 0.5).astype(np.int64)
+    dp = np.floor(_non_null_numpy(t, "l_discount") * 100 + 0.5).astype(np.int64)
+    tp = np.floor(_non_null_numpy(t, "l_tax") * 100 + 0.5).astype(np.int64)
     return q, pc_, dp, tp
 
 

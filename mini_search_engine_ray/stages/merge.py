@@ -5,10 +5,12 @@ and docID rebasing (`InvertedIndexManager.java:327-440`,
 `utils/Utils.java:74-119,169-177`). Here doc_ids are global so no
 rebasing is needed, and shard term dictionaries are sorted, so merging
 N indexes is: per bucket, decode every source sub-shard (vectorized),
-concatenate the exploded postings, and rebuild one compacted shard —
-stateless Ray tasks, one per bucket, embarrassingly parallel, each an
-idempotent write (temp + atomic rename, like the reference's `_new` +
-rename at `IIM:413-431`).
+concatenate the exploded postings, and rebuild one compacted shard.
+Buckets are embarrassingly parallel: they are dealt round-robin to
+stateless Ray tasks, one per CPU of the cluster (`stages/fanout.py`),
+and each bucket is an idempotent write (temp + atomic rename, like the
+reference's `_new` + rename at `IIM:413-431`), so a retried task that
+re-runs its whole group skips the buckets it already committed.
 
 A merge may also take DELTAS: directories that hold only a committed
 phase-A exchange (`pipelines/build.write_exchange`) and never built
@@ -48,6 +50,7 @@ from ..pipelines.build import (
     write_meta,
 )
 from ..stages import shards as shards_mod
+from ..stages.fanout import run_keyed
 from ..state.searcher import load_tombstones, save_tombstones
 
 
@@ -221,15 +224,15 @@ def merge_indexes(
 ) -> dict:
     """Merge N indexes, plus any `deltas` (committed phase-A exchanges,
     see `pipelines/build.write_exchange`), into one compacted index at
-    `dest` (Ray tasks, one per bucket). Tombstoned terms (union over
+    `dest` (Ray tasks, one per CPU, each merging a round-robin share of
+    the buckets; the meta records ``merge_tasks`` and the buckets
+    ``shards_written`` / ``shards_skipped``). Tombstoned terms (union over
     sources) are dropped physically, in the deltas' postings too; the
     merged index starts with no tombstones. `timings` entries (seconds)
     are stored in the meta as ``<name>_sec`` next to ``merge_sec`` and
     ``docstore_sec``."""
     import hashlib
     import time
-
-    import ray.data as rd
 
     timings = dict(timings or {})
     metas = [load_meta(s) for s in sources]
@@ -261,24 +264,15 @@ def merge_indexes(
         | {sid // salt for src, salt in zip(deltas, delta_salts) for sid in exchange_shards(src)}
     )
 
-    def do_bucket(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            merge_bucket(
-                int(b), sources, dest, salts=salts, positional=positional,
-                fingerprint=fp, drop_terms=drop, codec=codec,
-                deltas=list(deltas), delta_salts=delta_salts,
-            )
-            for b in batch["bucket"].to_pylist()
-        ])
+    def do_bucket(b: int) -> pa.Table:
+        return merge_bucket(
+            b, sources, dest, salts=salts, positional=positional,
+            fingerprint=fp, drop_terms=drop, codec=codec,
+            deltas=list(deltas), delta_salts=delta_salts,
+        )
 
     t0 = time.time()
-    rows = (
-        rd.from_items([{"bucket": b} for b in buckets], override_num_blocks=max(1, len(buckets)))
-        .map_batches(do_bucket, batch_size=1, batch_format="pyarrow")
-        .take_all()
-        if buckets
-        else []
-    )
+    rows, n_tasks = run_keyed(buckets, do_bucket)
     timings["merge"] = time.time() - t0
     manifests = [m for m in rows if m["status"] != "empty"]
 
@@ -310,6 +304,9 @@ def merge_indexes(
         "codec": codec,
         "fingerprint": fp,
         "merged_from": list(sources) + list(deltas),
+        "shards_written": sum(1 for m in manifests if m["status"] == "written"),
+        "shards_skipped": sum(1 for m in manifests if m["status"] == "skipped"),
+        "merge_tasks": n_tasks,
         **{f"{k}_sec": round(v, 3) for k, v in timings.items()},
     }
     # the searcher reads this key unconditionally for wordbreak/japanese

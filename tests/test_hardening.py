@@ -159,3 +159,22 @@ def test_docstore_single_pass_equals_overlap(ray_session, tmp_path):
     assert meta["shards_skipped"] == meta["n_shards"]
     assert sorted(os.listdir(f"{d1}/docstore")) == before
     assert all(os.path.getmtime(f"{d1}/docstore/{f}") == mtimes[f] for f in before)
+
+
+def test_lineitem_money_encoding_rejects_nulls():
+    """A null money column fails loudly instead of becoming NaN and then
+    an undefined int64 in the exact-integer encodings."""
+    from mini_search_engine_ray.pipelines.driver_queries import _li_ints
+
+    t = pa.table({
+        "l_quantity": pa.array([3.0, 5.0]),
+        "l_extendedprice": pa.array([12.5, None], pa.float64()),
+        "l_discount": pa.array([0.05, 0.1]),
+        "l_tax": pa.array([0.02, 0.0]),
+    })
+    with pytest.raises(ValueError, match="l_extendedprice"):
+        _li_ints(t)
+    q, pc_, dp, tp = _li_ints(t.set_column(
+        1, "l_extendedprice", pa.array([12.5, 7.25])))
+    assert q.tolist() == [3, 5] and pc_.tolist() == [1250, 725]
+    assert dp.tolist() == [5, 10] and tp.tolist() == [2, 0]

@@ -263,3 +263,34 @@ def test_add_documents_resumes_from_committed_exchange(ray_session, tmp_path, mo
     ref_meta = load_meta(ref)
     for key in ("n_docs", "total_tokens", "avgdl", "n_postings", "fingerprint"):
         assert meta[key] == ref_meta[key], key
+
+
+def test_fanout_task_counts_and_global_context(ray_session, tmp_path):
+    """Phase B and the merge run their shards as at most one task per
+    `task_num_cpus` CPUs (recorded in the meta), and the 1 MiB output
+    hint stays on each dataset's own context: the process-wide
+    DataContext keeps its default block size."""
+    import ray
+    import ray.data as rd
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext
+
+    from mini_search_engine_ray.pipelines.build import add_documents
+    from mini_search_engine_ray.stages.shards import list_shards
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    corpus = synth_corpus(60, seed=17)
+    sl = lambda lo, hi: rd.from_arrow(
+        corpus.select(["doc_id", "content"]).slice(lo, hi - lo))
+    for task_num_cpus in (1, 2):
+        d = str(tmp_path / f"cpus{task_num_cpus}")
+        meta = build_index(sl(0, 40), d, num_buckets=6, n_docs=40, write_docstore=False,
+                           fingerprint="f", task_num_cpus=task_num_cpus)
+        n_keys = len(list_shards(d))
+        assert n_keys == meta["n_shards"] > cpus // task_num_cpus
+        assert meta["phase_b_tasks"] == min(n_keys, cpus // task_num_cpus)
+        assert DataContext.get_current().target_max_block_size == DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    merged = add_documents(d, sl(40, 60), n_new_docs=20, fingerprint="d")
+    assert merged["merge_tasks"] == min(len(list_shards(d)), cpus)
+    assert merged["shards_written"] == merged["n_shards"] and merged["shards_skipped"] == 0
+    assert DataContext.get_current().target_max_block_size == DEFAULT_TARGET_MAX_BLOCK_SIZE

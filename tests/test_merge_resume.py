@@ -109,3 +109,48 @@ class TestResume:
         m1 = build_index(_ds_slice(corpus, 0, 60), d, fingerprint="v1", **kw)
         m2 = build_index(_ds_slice(corpus, 0, 60), d, fingerprint="v2", **kw)
         assert m2["shards_skipped"] == 0 and m2["shards_written"] == m1["n_shards"]
+
+    def test_grouped_merge_task_failure_resumes_byte_identical(self, ray_session, tmp_path,
+                                                               corpus, monkeypatch):
+        """A merge task holds several buckets. One that dies after committing
+        its first bucket loses the rest of its group; the re-run re-runs
+        every group, reports the committed bucket `skipped` without
+        rewriting it, and ends byte-identical to an uninterrupted merge."""
+        from mini_search_engine_ray.stages import fanout
+        from mini_search_engine_ray.stages import merge as merge_mod
+
+        a, b = str(tmp_path / "ga"), str(tmp_path / "gb")
+        kw = dict(num_buckets=8, positional=True, n_docs=60, write_docstore=False)
+        build_index(_ds_slice(corpus, 0, 60), a, fingerprint="ga", **kw)
+        build_index(_ds_slice(corpus, 60, 120), b, fingerprint="gb", **kw)
+        ref, m = str(tmp_path / "gref"), str(tmp_path / "gm")
+        ref_meta = merge_indexes([a, b], ref, merge_docstore=False)
+        assert ref_meta["merge_tasks"] < ref_meta["n_shards"]  # buckets share tasks
+
+        real = merge_mod.merge_bucket
+
+        def dies_after_first_bucket(bucket, *args, **kw):
+            real(bucket, *args, **kw)
+            raise RuntimeError(f"merge task died after bucket {bucket}")
+
+        # all buckets in one task, so no other task outlives the failure
+        monkeypatch.setattr(fanout, "keyed_task_count", lambda n_keys, num_cpus=1: 1)
+        monkeypatch.setattr(merge_mod, "merge_bucket", dies_after_first_bucket)
+        first = list_shards(ref)[0]
+        with pytest.raises(Exception, match=f"died after bucket {first}"):
+            merge_indexes([a, b], m, merge_docstore=False)
+        monkeypatch.undo()
+        assert list_shards(m) == [first]
+        fpath, _ = shard_paths(m, first)
+        before = os.stat(fpath).st_mtime_ns
+
+        meta = merge_indexes([a, b], m, merge_docstore=False)
+        assert meta["shards_skipped"] == 1
+        assert meta["shards_written"] == ref_meta["n_shards"] - 1
+        assert os.stat(fpath).st_mtime_ns == before  # not rewritten
+        assert list_shards(m) == list_shards(ref)
+        for sid in list_shards(ref):
+            with open(shard_paths(m, sid)[0], "rb") as x, open(shard_paths(ref, sid)[0], "rb") as y:
+                assert x.read() == y.read(), f"shard {sid} differs"
+        for key in ("n_docs", "total_tokens", "n_postings", "fingerprint"):
+            assert meta[key] == ref_meta[key], key
