@@ -229,7 +229,9 @@ def pfordelta_encode(values, *, delta: bool = True) -> bytes:
 
 
 def pfordelta_decode(buf, *, delta: bool = True) -> np.ndarray:
-    b = memoryview(bytes(buf) if not isinstance(buf, (bytes, memoryview)) else buf)
+    # unsigned view: a memoryview of a pyarrow Buffer is signed ('b'),
+    # which would read header bytes >= 128 (a full block's count) as < 0
+    b = memoryview(buf).cast("B")
     if len(b) == 0:
         return np.empty(0, dtype=np.int64)
     parts = []

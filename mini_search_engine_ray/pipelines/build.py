@@ -432,9 +432,14 @@ def add_documents(
          equal. No delta shards are built;
       2. ``merge_indexes([live], deltas=[work_dir])`` — stateless
          tasks, one per CPU, that fold each live shard and the delta's
-         exchange partition, byte-identical to having built once over
-         the union. Docstore part files are immutable, so the merged
-         docstore hard-links the live and delta parts instead of
+         exchange partition term by term, byte-identical to having
+         built once over the union: a term the delta does not touch is
+         copied verbatim, and when the new doc_ids follow the live ones
+         (the usual update) the delta's postings of a term it does
+         touch are encoded and appended to the live bytes, so no live
+         posting is decoded. Other terms are rebuilt from their
+         decoded rows. Docstore part files are immutable, so the
+         merged docstore hard-links the live and delta parts instead of
          rewriting them;
       3. swap the merged result into place (``dest=None``) or leave
          it at ``dest``.
@@ -459,7 +464,9 @@ def add_documents(
     merged -> live); a crash between them leaves ``.old`` intact for
     manual recovery.  Returns the merged meta dict, whose
     ``phase_a_tokenize_exchange_sec`` / ``merge_sec`` / ``docstore_sec``
-    time the three stages.
+    time the three stages and whose ``merge_terms_copied`` /
+    ``merge_terms_appended`` / ``merge_terms_rebuilt`` /
+    ``merge_postings_decoded`` count the merge's work.
     """
     from ..stages.merge import merge_indexes
 

@@ -15,8 +15,9 @@ Vectorization: tokenizing is pyarrow.compute (utf8_lower +
 split_pattern_regex over the whole batch, zero-copy from the object
 store); stemming touches only the batch's *unique* tokens via
 dictionary encoding (memoized across batches per actor); tf / positions
-/ doc_len come from one numpy lexsort-and-runs pass. No per-row Python
-in the punctuation/code paths.
+/ doc_len come from one numpy pass: a stable argsort on the combined
+(doc, term) key, then run detection. No per-row Python in the
+punctuation/code paths.
 
 Skew (north rule): the shard key is `hash(term) % num_buckets` salted
 by `doc_id % salt` -> `shard = bucket * salt + (doc_id % salt)`, so a
@@ -42,6 +43,7 @@ from ..functions.tokenizers import (
     NON_IDENT_RE2,
     PUNCT_SPLIT_RE2,
 )
+from .shards import ragged_take
 
 _STOPWORDS_PA = pa.array(sorted(STOP_WORDS))
 
@@ -49,6 +51,13 @@ _STOPWORDS_PA = pa.array(sorted(STOP_WORDS))
 def term_bucket(term: str, num_buckets: int) -> int:
     """Deterministic term -> bucket hash (stable across processes)."""
     return int.from_bytes(hashlib.blake2b(term.encode(), digest_size=8).digest(), "big") % num_buckets
+
+
+def doc_term_order(parents: np.ndarray, term_codes: np.ndarray, n_terms: int) -> np.ndarray:
+    """Permutation that sorts tokens by (doc, term, position). Tokens
+    arrive in (doc, position) order, so one stable sort on the combined
+    (doc, term) key keeps each run's positions ascending."""
+    return np.argsort(parents.astype(np.int64) * n_terms + term_codes, kind="stable")
 
 
 _TE_CACHE: dict[tuple, "TokenizeExplode"] = {}
@@ -198,8 +207,8 @@ class TokenizeExplode:
         positions = (np.arange(n_tok) - np.repeat(doc_start, run_len)).astype(np.int32)
         doc_len_by_row = np.bincount(parents, minlength=batch.num_rows).astype(np.int32)
 
-        # group by (doc, term): runs after lexsort
-        order = np.lexsort((positions, term_codes, parents))
+        # group by (doc, term): runs after the sort
+        order = doc_term_order(parents, term_codes, len(uniq_terms))
         g_par = parents[order]
         g_term = term_codes[order]
         g_pos = positions[order]
@@ -283,13 +292,7 @@ class TokenizeExplode:
         }
         if self.positional:
             # gather each posting's positions (tf of them) in order2 order
-            pos_off = np.r_[starts, n_tok].astype(np.int64)
-            g_lens = tf[order2].astype(np.int64)
-            new_off = np.r_[0, np.cumsum(g_lens)]
-            idx = np.repeat(pos_off[:-1][order2], g_lens) + (
-                np.arange(new_off[-1]) - np.repeat(new_off[:-1], g_lens)
-            )
-            p_posflat = g_pos[idx]
+            p_posflat, new_off = ragged_take(g_pos, np.r_[starts, n_tok].astype(np.int64), order2)
             pos_frag_off = new_off[frag_off].astype(np.int32)
             cols["pos"] = lst(pa.array(p_posflat, type=pa.int32()), pos_frag_off)
         return pa.table(cols)

@@ -36,6 +36,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.feather as feather
 
 from ..functions.codecs import MANY_CODECS, single_decoder
@@ -113,6 +114,15 @@ def _unpack_packed(group: pa.Table, positional: bool) -> dict:
     return out
 
 
+def ragged_take(flat: np.ndarray, off: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lists `idx` of the ragged (flat values, offsets[n+1]), in that
+    order: returns (flat values, offsets)."""
+    lens = np.diff(off)[idx]
+    new_off = np.r_[0, np.cumsum(lens)].astype(np.int64)
+    src = np.repeat(off[:-1][idx] - new_off[:-1], lens) + np.arange(new_off[-1])
+    return flat[src], new_off
+
+
 def build_shard_table(group: pa.Table, *, positional: bool, codec: str = "varint") -> tuple[pa.Table, dict]:
     """Turn one shard's posting rows (exploded or packed format) into
     the shard table.
@@ -121,8 +131,6 @@ def build_shard_table(group: pa.Table, *, positional: bool, codec: str = "varint
     over the whole shard; no per-term Python loop.
     Returns (shard_table, metrics).
     """
-    import pyarrow.compute as pc
-
     u = (_unpack_packed if "vocab" in group.column_names else _unpack_exploded)(group, positional)
     # dedupe + sort the vocabulary WITHOUT materializing Python strings
     # (object-array np.unique churns allocator/GC badly under wide task
@@ -139,82 +147,105 @@ def build_shard_table(group: pa.Table, *, positional: bool, codec: str = "varint
     rank[sort_idx] = np.arange(len(uniq))
     vocab_sorted = uniq.take(pa.array(sort_idx))  # pa.StringArray, sorted
     tcodes = rank[dedup_map[u["tcodes"]]]
-    doc_id, tf, dl = u["doc_id"], u["tf"], u["dl"]
 
-    order = np.lexsort((doc_id, tcodes))
+    # duplicate (term, doc) pairs must not exist (explode emits one row
+    # per distinct pair per batch; across batches a doc lives in exactly
+    # one batch because batches partition rows)
+    order = np.lexsort((u["doc_id"], tcodes))
     tcodes = tcodes[order]
-    doc_id = doc_id[order]
-    tf = tf[order]
-    dl = dl[order]
-    n = len(doc_id)
-
+    n = len(tcodes)
     t_starts = np.flatnonzero(np.r_[True, tcodes[1:] != tcodes[:-1]])
-    t_offsets = np.r_[t_starts, n].astype(np.int64)
-    terms = vocab_sorted.take(pa.array(tcodes[t_starts]))  # pa.StringArray
-    df = np.diff(t_offsets)
-    # guard: duplicate (term, doc) pairs must not exist (explode emits
-    # one row per distinct pair per batch; across batches a doc lives in
-    # exactly one batch because batches partition rows)
-    total_tf = np.add.reduceat(tf, t_offsets[:-1])
+    pos = ragged_take(u["pos_flat"], u["pos_off"], order) if positional else (None, None)
+    cols = encode_terms(
+        np.r_[t_starts, n].astype(np.int64), u["doc_id"][order], u["tf"][order], u["dl"][order],
+        codec=codec, pos_flat=pos[0], pos_off=pos[1],
+    )
+    return shard_table({"term": vocab_sorted.take(pa.array(tcodes[t_starts])), **cols}, codec)
 
+
+def encode_terms(
+    t_offsets: np.ndarray,
+    doc_id: np.ndarray,
+    tf: np.ndarray,
+    dl: np.ndarray,
+    *,
+    codec: str,
+    pos_flat: np.ndarray | None = None,
+    pos_off: np.ndarray | None = None,
+    held: dict | None = None,
+) -> dict[str, pa.Array]:
+    """Encode postings sorted by (term, doc_id) — term i owns rows
+    ``t_offsets[i]:t_offsets[i + 1]`` — into every shard-table column
+    but `term`. `pos_flat`/`pos_off` are each posting's positions.
+
+    `held` continues posting lists already encoded elsewhere. Its
+    per-term arrays ``last_doc``, ``df``, ``max_tf`` and ``min_dl``
+    (the last block's bounds) describe the held list. The first doc gap
+    is then taken from ``last_doc``, and blocks are cut as if ``df``
+    postings came first. A held last block that is partial (``df %
+    BLOCK_SIZE`` postings) is therefore continued: its bounds are folded
+    into the first block here, and the caller drops the held one. `df`,
+    `total_tf` and every payload count only the new postings, so the
+    held bytes followed by these are the encoding of the whole list.
+    Without `held`, every list is encoded from its start."""
+    n = len(doc_id)
+    t_starts = t_offsets[:-1]
+    df = np.diff(t_offsets)
+    prev = np.r_[0, doc_id[:-1]]
+    prev[t_starts] = 0 if held is None else held["last_doc"]
     enc_many = MANY_CODECS[codec][0]
-    docs_buf, docs_off = enc_many(doc_id, t_offsets, delta=True)
+    # delta coding by hand (gaps, then delta=False) so a held list's
+    # last doc can stand in for the first gap's predecessor
+    docs_buf, docs_off = enc_many(doc_id - prev, t_offsets, delta=False)
     tfs_buf, tfs_off = enc_many(tf, t_offsets, delta=False)
     dls_buf, dls_off = enc_many(dl, t_offsets, delta=False)
 
     # block-max metadata: blocks of BLOCK_SIZE within each term
     within = np.arange(n) - np.repeat(t_starts, df)
+    if held is not None:
+        within += np.repeat(held["df"], df)
     blk = within // BLOCK_SIZE
-    b_starts = np.flatnonzero(np.r_[True, (tcodes[1:] != tcodes[:-1]) | (blk[1:] != blk[:-1])])
-    b_ends = np.r_[b_starts[1:], n] - 1
-    blk_last = doc_id[b_ends]
+    new_blk = np.r_[True, blk[1:] != blk[:-1]]
+    new_blk[t_starts] = True
+    b_starts = np.flatnonzero(new_blk)
+    blk_last = doc_id[np.r_[b_starts[1:], n] - 1]
     blk_maxtf = np.maximum.reduceat(tf, b_starts).astype(np.int32)
     blk_mindl = np.minimum.reduceat(dl, b_starts).astype(np.int32)
-    blocks_per_term = np.ceil(df / BLOCK_SIZE).astype(np.int64)
-    blk_offsets = np.r_[0, np.cumsum(blocks_per_term)].astype(np.int32)
+    blk_offsets = np.searchsorted(b_starts, t_offsets).astype(np.int32)
+    if held is not None:
+        fold = held["df"] % BLOCK_SIZE != 0
+        first = blk_offsets[:-1][fold]
+        blk_maxtf[first] = np.maximum(blk_maxtf[first], held["max_tf"][fold])
+        blk_mindl[first] = np.minimum(blk_mindl[first], held["min_dl"][fold])
 
     cols: dict[str, pa.Array] = {
-        "term": terms,
         "df": pa.array(df, type=pa.int64()),
-        "total_tf": pa.array(total_tf, type=pa.int64()),
+        "total_tf": pa.array(np.add.reduceat(tf, t_starts), type=pa.int64()),
         "docs": _bin_array(docs_buf, docs_off),
         "tfs": _bin_array(tfs_buf, tfs_off),
         "dls": _bin_array(dls_buf, dls_off),
     }
-
-    if positional:
-        flat_pos = u["pos_flat"]
-        row_off = u["pos_off"]
-        # reorder the ragged position lists to the (term, doc) sort order
-        lens = np.diff(row_off)[order]
-        new_off = np.r_[0, np.cumsum(lens)]
-        idx = np.repeat(row_off[:-1][order], lens) + (np.arange(new_off[-1]) - np.repeat(new_off[:-1], lens))
-        pos_sorted = flat_pos[idx]
-        pos_buf, pos_byte_off = enc_many(pos_sorted, new_off, delta=True)
+    if pos_flat is not None:
         # per-term concatenated position bytes + per-doc byte lengths
-        doc_pos_bytes = np.diff(pos_byte_off)
-        term_pos_off = pos_byte_off[t_offsets]
-        pos_term_buf = pos_buf  # already concatenated in term order
-        plen_buf, plen_off = enc_many(doc_pos_bytes, t_offsets, delta=False)
-        pos_col_off = term_pos_off
-        cols["pos"] = _bin_array(pos_term_buf, pos_col_off)
+        pos_buf, pos_byte_off = enc_many(pos_flat, pos_off, delta=True)
+        plen_buf, plen_off = enc_many(np.diff(pos_byte_off), t_offsets, delta=False)
+        cols["pos"] = _bin_array(pos_buf, pos_byte_off[t_offsets])
         cols["pos_lens"] = _bin_array(plen_buf, plen_off)
+    blk_off = pa.array(blk_offsets, type=pa.int32())
+    cols["blk_last_doc"] = pa.ListArray.from_arrays(blk_off, pa.array(blk_last, type=pa.int64()))
+    cols["blk_max_tf"] = pa.ListArray.from_arrays(blk_off, pa.array(blk_maxtf, type=pa.int32()))
+    cols["blk_min_dl"] = pa.ListArray.from_arrays(blk_off, pa.array(blk_mindl, type=pa.int32()))
+    return cols
 
-    cols["blk_last_doc"] = pa.ListArray.from_arrays(
-        pa.array(blk_offsets, type=pa.int32()), pa.array(blk_last, type=pa.int64())
-    )
-    cols["blk_max_tf"] = pa.ListArray.from_arrays(
-        pa.array(blk_offsets, type=pa.int32()), pa.array(blk_maxtf, type=pa.int32())
-    )
-    cols["blk_min_dl"] = pa.ListArray.from_arrays(
-        pa.array(blk_offsets, type=pa.int32()), pa.array(blk_mindl, type=pa.int32())
-    )
 
+def shard_table(cols: dict[str, pa.Array], codec: str) -> tuple[pa.Table, dict]:
+    """(shard table, manifest metrics) of finished columns, `term` first."""
+    terms = cols["term"]
     metrics = {
         "codec": codec,
-        "n_terms": int(len(terms)),
-        "n_postings": int(n),
-        "total_tf": int(tf.sum()),
+        "n_terms": len(terms),
+        "n_postings": int(cols["df"].to_numpy().sum()),
+        "total_tf": int(cols["total_tf"].to_numpy().sum()),
         "min_term": terms[0].as_py() if len(terms) else "",
         "max_term": terms[-1].as_py() if len(terms) else "",
     }
@@ -231,11 +262,19 @@ def shard_paths(index_dir: str, shard_id: int) -> tuple[str, str]:
     )
 
 
-def write_shard(group: pa.Table, *, index_dir: str, positional: bool, fingerprint: str, codec: str = "varint") -> pa.Table:
+def write_shard(group, *, index_dir: str, positional: bool, fingerprint: str, codec: str = "varint") -> pa.Table:
     """map_groups body: build + atomically write one shard; returns the
-    manifest as a one-row table. Skips (idempotent resume) when a
-    committed manifest with the same fingerprint exists."""
-    shard_id = int(group["shard"][0].as_py())
+    manifest as a one-row table. `group` is the shard's posting rows
+    (its `shard` column names the shard), or a ``(shard_id, build)``
+    pair whose ``build()`` returns the finished (table, metrics) — the
+    merge's term-level assembly. Skips (idempotent resume), without
+    building, when a committed manifest with the same fingerprint
+    exists."""
+    if isinstance(group, pa.Table):
+        shard_id = int(group["shard"][0].as_py())
+        build = lambda: build_shard_table(group, positional=positional, codec=codec)
+    else:
+        shard_id, build = group
     fpath, mpath = shard_paths(index_dir, shard_id)
     os.makedirs(os.path.dirname(fpath), exist_ok=True)
 
@@ -246,7 +285,7 @@ def write_shard(group: pa.Table, *, index_dir: str, positional: bool, fingerprin
             old["status"] = "skipped"
             return _manifest_row(old)
 
-    table, metrics = build_shard_table(group, positional=positional, codec=codec)
+    table, metrics = build()
     tmp = fpath + ".tmp"
     feather.write_feather(table, tmp, compression="uncompressed")
     os.replace(tmp, fpath)

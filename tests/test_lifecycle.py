@@ -168,6 +168,18 @@ def test_add_documents_byte_identical_to_single_build(ray_session, tmp_path):
     # the update reports its stages
     for key in ("phase_a_tokenize_exchange_sec", "merge_sec", "docstore_sec"):
         assert meta[key] >= 0.0 and load_meta(live)[key] == meta[key], key
+    # ... and its merge work: the new doc_ids follow the live ones, so
+    # no live posting is decoded (terms the delta touches are appended)
+    counts = {k: meta[k] for k in ("merge_terms_copied", "merge_terms_appended",
+                                   "merge_terms_rebuilt", "merge_postings_decoded")}
+    assert counts["merge_postings_decoded"] == 0, counts
+    assert counts["merge_terms_copied"] > 0 and counts["merge_terms_appended"] > 0, counts
+    from mini_search_engine_ray.stages.shards import list_shards, open_shard
+
+    n_terms = sum(open_shard(live, sid).num_rows for sid in list_shards(live))
+    assert (counts["merge_terms_copied"] + counts["merge_terms_appended"]
+            + counts["merge_terms_rebuilt"]) == n_terms, counts
+
 
 
 def test_docstore_link_copy_fallback_and_collision(ray_session, tmp_path, monkeypatch):
