@@ -11,9 +11,10 @@ Workloads:
                      shard write) over a deterministic synthetic
                      source-code corpus (~SYNTH_DOCS docs)
   docs_index_build   same pipeline over the driver documents table
-  query_p95          200 mixed BM25/boolean queries on the synth index;
-                     reports p95 single-query latency (+ batch QPS via
-                     the searcher actor pool)
+  query_p95          BM25 top-10 on the synth index: p50/p95 single-query
+                     latency of the ranked path and of its scan
+                     (`prune=False`) on the 200 `_make_queries` and on a
+                     200-query rare+common mix, plus the work counters
   query_distributed  the same 200 BM25 queries through the
                      doc-partitioned scatter-gather path (4 partition
                      actors, global-df two-pass) + rank-parity check
@@ -55,7 +56,7 @@ def _make_queries(n: int = 200) -> list[list[str]]:
                             replace=False)) for _ in range(n)]
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
 SYNTH_DOCS = int(os.environ.get("BENCH_SYNTH_DOCS", "60000"))
 SYNTH_SEED = 42
 DOC_SCALE = int(os.environ.get("BENCH_DOC_SCALE", "1"))
@@ -174,40 +175,71 @@ def bench_docs_index_build(out: dict) -> None:
     out["queries"]["docs_index_build"] = round(time.time() - t0, 3)
 
 
+def _rare_common_queries(index_dir: str, n_docs: int, n: int = 200) -> list[list[str]]:
+    """n queries of one rare term plus 1-3 common terms (df >= n_docs/5),
+    drawn from the shards' df column summed over salted sub-shards: the
+    mix where a rare term's top-10 cutoff can let the ranked path probe
+    the common terms. A rare term is in 10 to max(50, n_docs/100) docs:
+    one in fewer than 10 docs sets no top-10 cutoff, and the synthetic
+    corpus has no term between 10 and 50 docs at 60k."""
+    import numpy as np
+
+    from mini_search_engine_ray.stages.shards import list_shards, open_shard
+
+    df: dict[str, int] = {}
+    for sid in list_shards(index_dir):
+        t = open_shard(index_dir, sid)
+        for term, d in zip(t["term"].to_pylist(), t["df"].to_pylist()):
+            df[term] = df.get(term, 0) + d
+    rare = sorted(t for t, d in df.items() if 10 <= d <= max(50, n_docs // 100))
+    common = sorted(t for t, d in df.items() if d >= n_docs / 5)
+    if not rare or not common:
+        return []
+    rng = np.random.default_rng(7)
+    return [[str(rng.choice(rare))]
+            + list(rng.choice(common, size=min(len(common), int(rng.integers(1, 4))),
+                              replace=False))
+            for _ in range(n)]
+
+
 def bench_query_p95(out: dict, index_dir: str) -> None:
+    """p50/p95 single-query latency of the ranked BM25 path and of its
+    scan (`prune=False`) on two mixes: the `_make_queries` batch and a
+    rare+common mix from the shards' df."""
     import numpy as np
 
     from mini_search_engine_ray.state.searcher import IndexSearcher
 
     s = IndexSearcher(index_dir)
-    vocab = _QUERY_VOCAB
-    queries = _make_queries()
-    s.search_bm25(vocab[:2], 10)  # warm mmaps
+    mixes = {"": _make_queries(), "_rare_common": _rare_common_queries(index_dir, s.n_docs)}
+    for qs in mixes.values():
+        for q in qs:  # warm mmaps and the per-term caches
+            s.search_bm25(q, 10)
 
-    def run(**kw) -> tuple[float, float]:
-        """(total s, p95 ms) of the query batch on one BM25 path."""
-        lat = []
-        t0 = time.time()
-        for q in queries:
-            tq = time.time()
-            s.search_bm25(q, 10, **kw)
-            lat.append(time.time() - tq)
-        return time.time() - t0, round(float(np.percentile(lat, 95)) * 1000, 2)
-
-    total, out["query_p95_ms"] = run()  # MaxScore, the serving default
-    out["queries"]["query_200x"] = round(total, 3)
-    out["query_qps"] = round(len(queries) / total, 1)
-    # same batch through the DAAT block-max WAND traversal
-    total, out["query_wand_p95_ms"] = run(method="wand")
-    out["queries"]["query_200x_wand"] = round(total, 3)
-    # and through the exhaustive oracle, so one run compares all three
-    _, out["query_exhaustive_p95_ms"] = run(prune=False)
+    for mix, queries in mixes.items():
+        if not queries:
+            continue
+        # the two paths alternate query by query, so a slow phase of the
+        # host lands on both
+        lat: dict[str, list[float]] = {"": [], "_scan": []}
+        for i, q in enumerate(queries):
+            for path in ("", "_scan")[:: 1 if i % 2 else -1]:
+                t0 = time.perf_counter()
+                s.search_bm25(q, 10, prune=not path)
+                lat[path].append(time.perf_counter() - t0)
+        for path, v in lat.items():
+            p50, p95 = np.percentile(v, [50, 95]) * 1000
+            out[f"query{mix}{path}_p50_ms"] = round(float(p50), 3)
+            out[f"query{mix}{path}_p95_ms"] = round(float(p95), 3)
+        out["queries"][f"query_200x{mix}"] = round(sum(lat[""]), 3)
+        out[f"query{mix}_qps"] = round(len(queries) / sum(lat[""]), 1)
+    out["query_counters"] = dict(s.counters)
 
 
 def bench_query_distributed(out: dict) -> None:
     """Scatter-gather BM25 over the doc-partitioned index (4 partition
     actors): per-query p95 / QPS through the full two-pass path (df
-    exchange + partition-local MaxScore + gather), plus a rank-parity
+    exchange + partition-local ranked scoring + gather), plus a rank-parity
     spot check against the single-index searcher."""
     import numpy as np
     import ray.data as rd

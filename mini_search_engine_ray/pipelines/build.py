@@ -380,11 +380,19 @@ def exchange_shards(index_dir: str) -> list[int]:
 
 def read_exchange_partition(index_dir: str, shard_id: int) -> pa.Table | None:
     """The packed fragments of one shard in the exchange of `index_dir`
-    (None when the shard got no postings)."""
+    (None when the shard got no postings). Its part files are read one
+    by one in sorted name order, skipping `_`- and `.`-prefixed temp
+    files: the table Arrow's dataset discovery of the directory gives,
+    without the discovery's cost on every bucket."""
     import pyarrow.parquet as pq
 
     path = os.path.join(index_dir, EXCHANGE_DIR, f"shard={shard_id}")
-    return pq.read_table(path) if os.path.isdir(path) else None
+    if not os.path.isdir(path):
+        return None
+    names = sorted(f for f in os.listdir(path) if not f.startswith(("_", ".")))
+    if not names:
+        return None
+    return pa.concat_tables([pq.ParquetFile(os.path.join(path, f)).read() for f in names])
 
 
 def load_exchange_meta(index_dir: str) -> dict:

@@ -22,7 +22,7 @@ Shard table schema (sorted by `term`):
                              each doc's `pos` span
   blk_last_doc list<int64>   per-128-doc block: last doc_id (skip ptr)
   blk_max_tf  list<int32>    per-block max tf      } block-max upper
-  blk_min_dl  list<int32>    per-block min doc_len } bound for WAND
+  blk_min_dl  list<int32>    per-block min doc_len } bound for BM25
 
 Writes are idempotent: temp file + atomic rename, manifest last; a
 shard whose manifest matches the build fingerprint is skipped on

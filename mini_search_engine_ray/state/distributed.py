@@ -186,31 +186,26 @@ class PartitionSearcher:
     def local_dfs(self, terms: list[str]) -> dict[str, int]:
         return {t: self.s.df(t) for t in terms}
 
-    def search_bm25_weighted(self, term_weights, k, prune: bool, method: str):
-        return self.s.search_bm25_weighted(term_weights, k, prune=prune, method=method)
+    def search_bm25_weighted(self, term_weights, k, prune: bool):
+        return self.s.search_bm25_weighted(term_weights, k, prune=prune)
 
-    def search_bm25_weighted_many(self, batch, k, prune: bool, method: str):
+    def search_bm25_weighted_many(self, batch, k, prune: bool):
         """Score a whole batch of queries in one remote call: `batch`
         is a list of term-weight triple lists (one per query). The
         per-query work is identical to `search_bm25_weighted`; only the
         transport is batched."""
-        return [
-            self.s.search_bm25_weighted(tw, k, prune=prune, method=method)
-            for tw in batch
-        ]
+        return [self.s.search_bm25_weighted(tw, k, prune=prune) for tw in batch]
 
     def search_tfidf_weighted(self, term_weights, top_k):
         return self.s.search_tfidf_weighted(term_weights, top_k)
 
-    def search_bm25_weighted_hydrated(self, term_weights, k, prune: bool,
-                                      method: str):
+    def search_bm25_weighted_hydrated(self, term_weights, k, prune: bool):
         """Local top-k PLUS the matching documents from THIS partition's
         docstore, in one remote call (the J4 docID->Document lookup of
         `InvertedIndexManager.java:912-914`, done scatter-side so the
         coordinator never runs a second round trip).  Returns
         (doc_ids, scores, contents) aligned by position."""
-        ids, scores = self.s.search_bm25_weighted(
-            term_weights, k, prune=prune, method=method)
+        ids, scores = self.s.search_bm25_weighted(term_weights, k, prune=prune)
         if len(ids) == 0:
             return ids, scores, []
         tbl = self.s.get_documents(ids)
@@ -310,7 +305,6 @@ class DistributedSearcher:
         k: int | None = 10,
         *,
         prune: bool = True,
-        method: str = "maxscore",
         hydrate: bool = False,
     ):
         """Distributed BM25 top-k: df exchange -> partition-local
@@ -340,7 +334,7 @@ class DistributedSearcher:
             return (*empty, []) if hydrate else empty
         if hydrate:
             results = ray.get([
-                a.search_bm25_weighted_hydrated.remote(tw, k, prune, method)
+                a.search_bm25_weighted_hydrated.remote(tw, k, prune)
                 for a in self.actors
             ])
             ids, scores = self._gather_topk(
@@ -350,7 +344,7 @@ class DistributedSearcher:
                 content.update(zip((int(i) for i in r_ids), r_docs))
             return ids, scores, [content[int(i)] for i in ids]
         results = ray.get(
-            [a.search_bm25_weighted.remote(tw, k, prune, method) for a in self.actors]
+            [a.search_bm25_weighted.remote(tw, k, prune) for a in self.actors]
         )
         return self._gather_topk(results, k)
 
@@ -414,7 +408,6 @@ class DistributedSearcher:
         k: int | None = 10,
         *,
         prune: bool = True,
-        method: str = "maxscore",
     ):
         """Batched distributed BM25: ONE df exchange for the union of
         all queries' uncached terms + ONE scatter per actor carrying
@@ -442,7 +435,7 @@ class DistributedSearcher:
         batch = [tws[i] for i in live]
         per_actor = ray.get(
             [
-                a.search_bm25_weighted_many.remote(batch, k, prune, method)
+                a.search_bm25_weighted_many.remote(batch, k, prune)
                 for a in self.actors
             ]
         )

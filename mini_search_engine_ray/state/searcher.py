@@ -19,21 +19,24 @@ Query surface (parity with `InvertedIndexManager`):
                    dot/sqrt(sum tfidf_doc^2 over query terms)
                    (IIM:1292-1449); ties broken by doc_id
   search_bm25      BM25 (k1=1.2, b=0.75) top-k — the north-rule
-                   primary scoring; MaxScore/block-max pruning with an
-                   exhaustive fallback (`prune=False`), both
-                   rank-identical (tested)
+                   primary scoring, through one ranked path: an
+                   exhaustive bincount scan, except that a query whose
+                   rare term cuts off its dense terms probes them by
+                   binary search instead; bitwise equal to the scan
+                   (`prune=False`, tested)
   delete_documents keyword tombstones filtered at query time
                    (IIM:1548-1551, 861-869); dropped at compaction
 
 Per-term state is decoded once per searcher and cached beside the
 postings (both caches hold up to POSTINGS_CACHE_MAX entries): the
-decoded posting arrays, and for BM25 a `_TermState` with the block-max
-metadata as numpy arrays and the BM25 denominators of every posting and
-block bound. The denominators depend on avgdl, which distributed
-serving overrides after construction, so a state is keyed by the avgdl
-it was built with and rebuilt when that differs. A warm BM25 query thus
-only computes weights, merges candidates and selects its top-k, and
-`_topk` sorts only the docs at or above the kth score.
+decoded posting arrays, and for BM25 a `_TermState` with the BM25
+denominators of every posting and the term's weight bound from its
+block-max metadata. Both depend on avgdl, which distributed serving
+overrides after construction, so a state is keyed by the avgdl it was
+built with and rebuilt when that differs. A warm BM25 query thus only
+decides scan or probe from df and the bounds, computes weights, sums
+them per doc and selects its top-k, and `_topk` sorts only the docs at
+or above the kth score.
 """
 
 from __future__ import annotations
@@ -117,38 +120,37 @@ def _kth(scores: np.ndarray, k: int):
     return np.partition(scores, n - k)[n - k]
 
 
-def _probe(docs: np.ndarray, cands: np.ndarray):
-    """Look sorted candidate ids up in a sorted posting list: (mask
-    over cands of those present, their posting indices). One binary
-    search per candidate — O(|cands| log df), so a long posting list
-    is never scanned."""
-    if not len(docs):
-        return np.zeros(len(cands), dtype=bool), np.empty(0, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(docs, cands), len(docs) - 1)
-    hit = docs[pos] == cands
-    return hit, pos[hit]
+def _term_weights(term) -> np.ndarray:
+    """BM25 weights of every posting of a (qw, idf, postings, state)
+    query term."""
+    qw, idf, p, st = term
+    return _bm25_weight(p[1], st.den, idf, qw)
 
 
 class _TermState:
     """What BM25 needs of one term besides its postings, computed once
-    per searcher: the per-posting denominator `_bm25_den`, and the
-    block-max metadata (last doc, max tf and the denominator at the
-    min doc length of each posting block). The block fields are None
-    when the term spans several salted sub-shards, whose merged
-    postings do not follow per-sub-shard block boundaries. The
-    denominators depend on `avgdl`, kept here so the searcher can
-    rebuild the state when its avgdl is overridden."""
+    per searcher: the per-posting denominator `_bm25_den`, the number
+    of posting blocks (0 when the term spans several salted sub-shards,
+    whose merged postings do not follow per-sub-shard block
+    boundaries), and `ub_unit`, the largest `tf*(K1+1)/den` over the
+    block-max metadata (over the postings themselves when there is
+    none): a query weight `qw*idf` times it bounds every weight of the
+    term. Both depend on `avgdl`, kept here so the searcher can rebuild
+    the state when its avgdl is overridden."""
 
-    __slots__ = ("avgdl", "den", "blk_last", "blk_max_tf", "blk_den")
+    __slots__ = ("avgdl", "den", "blocks", "ub_unit")
 
     def __init__(self, p, block_meta, avgdl: float) -> None:
         self.avgdl = avgdl
         self.den = _bm25_den(p[1], p[2], avgdl)
         if block_meta is None:
-            self.blk_last = self.blk_max_tf = self.blk_den = None
+            self.blocks = 0
+            tf, den = p[1], self.den
         else:
-            self.blk_last, self.blk_max_tf, blk_min_dl = block_meta
-            self.blk_den = _bm25_den(self.blk_max_tf, blk_min_dl, avgdl)
+            blk_last, tf, blk_min_dl = block_meta
+            self.blocks = len(blk_last)
+            den = _bm25_den(tf, blk_min_dl, avgdl)
+        self.ub_unit = float((tf * (K1 + 1.0) / den).max(initial=0.0))
 
 
 class _TermDict:
@@ -238,7 +240,7 @@ class IndexSearcher:
         self._terms: dict[int, _TermDict | None] = {}
         self._postings_cache: dict[str, tuple | None] = {}
         self._bm25_states: dict[str, _TermState] = {}
-        # MaxScore work tallies, summed over this searcher's queries
+        # ranked-query work tallies (`search_bm25` documents each key)
         self.counters = Counter(dict.fromkeys(COUNTER_KEYS, 0))
 
     # -- shard access ---------------------------------------------------
@@ -634,18 +636,29 @@ class IndexSearcher:
         k: int | None = 10,
         *,
         prune: bool = True,
-        method: str = "maxscore",
     ):
         """BM25 top-k: returns (doc_ids, scores), score desc, ties by
-        doc_id asc. `prune=True` prunes with `method`:
-        "maxscore" (term-at-a-time MaxScore + block-max upper bounds) or
-        "wand" (document-at-a-time block-max WAND, Ding & Suel 2011) —
-        both rank-identical to the exhaustive path (tested).
+        doc_id asc. The analyzed query's (term, count, idf) triples go
+        to `search_bm25_weighted`, which ranks them through one path;
+        `prune=False` forces its exhaustive scan, the bitwise oracle
+        of the default (tested).
+
+        `self.counters` tallies the work of every ranked query, scans
+        included (`COUNTER_KEYS`):
+          queries              ranked queries answered
+          postings_scored      postings whose weight entered a score;
+                               a scan scores every posting (sum of df)
+          blocks_skipped       posting blocks of probed terms in which
+                               no posting was scored
+          candidates_admitted  docs whose score was accumulated
+          docs_rescored        docs rescored after an out-of-order sum;
+                               0, since every path sums in term order
+        so `postings_scored / queries` is the serving work per query.
 
         A warm query does only query-dependent work: each term's BM25
-        denominators and block-max metadata are computed once per
-        searcher (`_TermState`, cached beside the postings under the
-        same entry cap) and rebuilt only when `self.avgdl` changes."""
+        denominators and weight bound are computed once per searcher
+        (`_TermState`, cached beside the postings under the same entry
+        cap) and rebuilt only when `self.avgdl` changes."""
         keywords = [query] if isinstance(query, str) else query
         toks = [t for ks in self._analyze_keywords(keywords) for t in ks]
         qtf = Counter(toks)
@@ -655,7 +668,7 @@ class IndexSearcher:
             if p is None:
                 continue
             tw.append((t, qw, self._bm25_idf(len(p[0]))))
-        return self.search_bm25_weighted(tw, k, prune=prune, method=method)
+        return self.search_bm25_weighted(tw, k, prune=prune)
 
     def search_bm25_weighted(
         self,
@@ -663,30 +676,47 @@ class IndexSearcher:
         k: int | None = 10,
         *,
         prune: bool = True,
-        method: str = "maxscore",
     ):
         """BM25 with EXTERNAL (term, query_weight, idf) triples — the
         partition-local scoring pass of distributed scatter-gather
         serving (state/distributed.py), where idf comes from GLOBAL df
         gathered across partitions (pass 1) rather than this index's
         local df; `self.avgdl`/`self.n_docs` are likewise set to the
-        global stats by the partition actor. Accumulation order is the
-        given term order, so per-doc scores are bitwise-identical to a
-        single-index search with the same triples (each doc lives in
-        exactly one partition)."""
+        global stats by the partition actor.
+
+        One ranked path, whose work is picked per query from the cached
+        term state, with every result bitwise equal to the scan:
+          no term          empty result
+          scan             k None or <= 0, or `prune=False`: every
+                           posting weighted and summed per doc in one
+                           bincount, in the given term order — per-doc
+                           scores are bitwise those of a single-index
+                           search with the same triples (each doc lives
+                           in exactly one partition)
+          one term         top-k straight from its weights
+                           (`_bm25_probe` with no other term)
+          several terms    a probe when one rare term's kth weight cuts
+                           off every doc without it and binary search
+                           into the other terms costs less than
+                           scanning them (`_probe_plan`, `_bm25_probe`);
+                           otherwise the scan."""
         terms = []
         for t, qw, idf in term_weights:
             p = self.postings(t)
             if p is None:
                 continue
             terms.append((qw, idf, p, self._bm25_state(t, p)))
+        self.counters["queries"] += 1
         if not terms:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        if not prune or k is None or k <= 0:
-            return self._bm25_exhaustive(terms, k)
-        if method == "wand":
-            return self._bm25_wand(terms, k)
-        return self._bm25_maxscore(terms, k)
+        if prune and k is not None and k > 0:
+            if len(terms) == 1:
+                plan = 0, _term_weights(terms[0])
+            else:
+                plan = self._probe_plan(terms, k)
+            if plan is not None:
+                return self._bm25_probe(terms, k, *plan)
+        return self._bm25_scan(terms, k)
 
     # below this accumulator size a dense per-doc array (bincount, no
     # sort) beats unique-sort merging; larger spans use the sparse path
@@ -694,14 +724,16 @@ class IndexSearcher:
 
     @staticmethod
     def _theta_slack(theta: float) -> float:
-        """Pruning threshold with relative slack: float sums are
-        order-dependent, so a theta (or an upper bound) computed in a
-        different addition order can be a few ulps off the exact-order
-        value. Comparing against theta*(1 - 1e-9) makes every skip
-        decision strictly conservative — a doc whose exact score ties
-        the kth can never be pruned by rounding — at a negligible
-        pruning-power cost. Final scores come from exact-order
-        summation, so results stay bitwise-identical to exhaustive."""
+        """Pruning threshold with relative slack: float results are
+        order-dependent, so an upper bound (a term's `ub_unit` times its
+        query weight, or a sum of bounds) computed in a different
+        operation order than the scores can be a few ulps below the
+        score it bounds. Comparing against theta*(1 - 1e-9) makes
+        every skip decision strictly conservative — a doc whose exact
+        score ties the kth can never be pruned by rounding — at a
+        negligible pruning-power cost. Final scores come from
+        exact-order summation, so results stay bitwise-identical to the
+        scan."""
         return theta - 1e-9 * abs(theta) if np.isfinite(theta) else theta
 
     def _accumulate(self, docs: np.ndarray, contribs: np.ndarray):
@@ -713,247 +745,82 @@ class IndexSearcher:
         index with sparse 10^12-range ids must not trigger a dense
         allocation (codecs are int64-capable by design).
         """
-        if docs.size and int(docs.max()) < self.DENSE_ACCUM_MAX_DOCS:
-            n = int(docs.max()) + 1
+        n = int(docs.max()) + 1 if docs.size else 0
+        if 0 < n <= self.DENSE_ACCUM_MAX_DOCS:
             dense = np.bincount(docs, weights=contribs, minlength=n)
             # candidate set = docs WITH A HIT, not docs with a nonzero
             # sum: a zero-weight term (or cancelling weights) sums to
             # exactly 0.0, and the sparse path below keeps such docs —
             # the two paths must agree regardless of the id span
-            uniq = np.flatnonzero(np.bincount(docs, minlength=n))
+            uniq = np.flatnonzero(np.bincount(docs, minlength=n) > 0)
             return uniq, dense[uniq]
         uniq, inv = np.unique(docs, return_inverse=True)
         return uniq, np.bincount(inv, weights=contribs)
 
-    def _exact_rescore(self, terms, docs_sorted: np.ndarray) -> np.ndarray:
-        """EXACT BM25 scores for a sorted candidate doc set, accumulated
-        per doc in ORIGINAL term order — bitwise-identical to the
-        exhaustive path's bincount accumulation (float addition is not
-        associative: summing a doc's contributions in any other order
-        can differ by 1 ulp and flip the doc_id tie-break between docs
-        whose true scores are exactly equal)."""
-        scores = np.zeros(len(docs_sorted))
-        for qw, idf, p, st in terms:
-            hit, sel = _probe(p[0], docs_sorted)
-            scores[hit] += _bm25_weight(p[1][sel], st.den[sel], idf, qw)
-        return scores
-
-    def _bm25_exhaustive(self, terms, k):
+    def _bm25_scan(self, terms, k):
         docs = np.concatenate([p[0] for _, _, p, _ in terms])
-        contribs = np.concatenate(
-            [_bm25_weight(p[1], st.den, idf, qw) for qw, idf, p, st in terms]
-        )
-        uniq, scores = self._accumulate(docs, contribs)
+        uniq, scores = self._accumulate(docs, np.concatenate([_term_weights(t) for t in terms]))
+        self.counters["postings_scored"] += len(docs)
+        self.counters["candidates_admitted"] += len(uniq)
         return self._topk(uniq, scores, k)
 
-    def _bm25_maxscore(self, terms, k: int):
-        """Term-at-a-time MaxScore over block-max upper bounds.
+    def _probe_plan(self, terms, k: int):
+        """(h, weights of h) when the other terms can be probed with h's
+        docs as the only candidates and probing them is cheaper than
+        scanning them, else None.
 
-        Process terms in descending max-contribution (upper-bound)
-        order. While processing term i, a doc NOT yet in the
-        accumulator can reach at most rem_ub[i] = sum of upper bounds
-        of terms i..end; once the accumulator holds >= k docs and
-        rem_ub[i] < theta (current kth partial score, a lower bound of
-        the kth final score), new docs are provably out of the top-k
-        (strictly — so doc_id tie-breaks are unaffected) and the term
-        only updates existing candidates: each candidate is probed into
-        the posting list by binary search, so blocks holding no
-        candidate are never scored. Every term still updates all
-        candidates, so returned scores are exact and rank-identical to
-        the exhaustive path (tested). `self.counters` tallies the work.
-        """
+        h is the term with the highest bound and theta its k-th weight:
+        weights being non-negative, at least k docs score >= theta (the
+        eager cutoff of *External Merge Sort for Top-K Queries*, SIGMOD
+        2020). When the other terms' bound sum stays below
+        `_theta_slack(theta)`, a doc without h scores below the kth, so
+        h's docs are the candidates. Probing costs one binary search per
+        candidate per other term; scanning costs their postings. The
+        cost rule needs df alone, so it runs first, and a dense query
+        goes to the scan before any weight or partition is computed:
+            df_h * sum_others log2(df+1) < sum_others df."""
+        ubs = [qw * idf * st.ub_unit for qw, idf, _, st in terms]
+        dfs = [len(p[0]) for _, _, p, _ in terms]
+        h = ubs.index(max(ubs))
+        others = [i for i in range(len(terms)) if i != h]
+        if (dfs[h] < k or min(ubs) < 0.0
+                or not dfs[h] * sum(math.log2(dfs[i] + 1) for i in others)
+                < sum(dfs[i] for i in others)):
+            return None
+        w_h = _term_weights(terms[h])
+        if not sum(ubs[i] for i in others) < self._theta_slack(_kth(w_h, k)):
+            return None
+        return h, w_h
+
+    def _bm25_probe(self, terms, k: int, h: int, w_h: np.ndarray):
+        """Score h's docs, the only candidates, by probing every other
+        term with them by binary search (O(candidates * log df), so a
+        block holding no candidate is never scored). Each term's
+        weights are added to 0.0 in the given order, so every candidate
+        gets the scan's bincount sum bitwise (the + 0.0 maps a -0.0
+        weight to 0.0 as the bincount does)."""
         cnt = self.counters
-        cnt["queries"] += 1
-        if len(terms) == 1:
-            # exact: the exhaustive bincount sums 0.0 + w, which is w
-            # (the + 0.0 maps a -0.0 weight to 0.0 the same way)
-            qw, idf, p, st = terms[0]
-            w = _bm25_weight(p[1], st.den, idf, qw)
-            cnt["postings_scored"] += len(w)
-            cnt["candidates_admitted"] += len(w)
-            ids, scores = self._topk(p[0], w, k)
-            return ids, scores + 0.0
-        with_ub = []
-        for qw, idf, p, st in terms:
-            if st.blk_last is not None:
-                ub = float(_bm25_weight(st.blk_max_tf, st.blk_den, idf, qw).max())
-                w_full = None
-            else:  # salted sub-shards merged: bound from the exact weights
-                w_full = _bm25_weight(p[1], st.den, idf, qw)
-                ub = float(w_full.max())
-            with_ub.append((qw, idf, p, st, w_full, ub))
-        with_ub.sort(key=lambda x: -x[5])
-        rem_ub = np.r_[[x[5] for x in with_ub], 0.0][::-1].cumsum()[::-1]
-
-        acc_docs = acc_scores = None
-        for i, (qw, idf, p, st, w_full, _) in enumerate(with_ub):
-            docs = p[0]
-            if (acc_docs is not None and len(acc_docs) >= k
-                    and rem_ub[i] < self._theta_slack(_kth(acc_scores, k))):
-                # no new doc can reach the top-k: update candidates only
-                hit, sel = _probe(docs, acc_docs)
-                if st.blk_last is not None:
-                    touched = len(np.unique(sel // BLOCK_SIZE))
-                    cnt["blocks_skipped"] += len(st.blk_last) - touched
-                if w_full is not None:
-                    acc_scores[hit] += w_full[sel]
-                else:
-                    acc_scores[hit] += _bm25_weight(p[1][sel], st.den[sel], idf, qw)
-                cnt["postings_scored"] += len(sel)
+        cands = terms[h][2][0]
+        scores = np.zeros(len(cands))
+        cnt["postings_scored"] += len(cands)
+        cnt["candidates_admitted"] += len(cands)
+        for i, (qw, idf, p, st) in enumerate(terms):
+            if i == h:
+                scores += w_h
                 continue
-            w = w_full if w_full is not None else _bm25_weight(p[1], st.den, idf, qw)
-            n_before = 0 if acc_docs is None else len(acc_docs)
-            if acc_docs is None:  # the first term's postings ARE the accumulator
-                acc_docs, acc_scores = docs, w
-            else:
-                acc_docs, acc_scores = self._accumulate(
-                    np.concatenate([acc_docs, docs]), np.concatenate([acc_scores, w])
-                )
-            cnt["postings_scored"] += len(docs)
-            cnt["candidates_admitted"] += len(acc_docs) - n_before
-        # The accumulator summed per-doc contributions in UB-sorted term
-        # order (can differ from the exhaustive sum by ~ulps). Rescore
-        # in original term order — bitwise-identical to exhaustive — but
-        # ONLY the top-k plus the relative-slack boundary band: any doc
-        # more than the slack below the approximate kth cannot tie the
-        # exact kth, so the full-candidate rescore (a second pass over
-        # every query-term posting) is unnecessary.
-        if len(acc_docs) > k:
-            band = acc_docs[acc_scores >= self._theta_slack(_kth(acc_scores, k))]
-        else:
-            band = acc_docs
-        cnt["docs_rescored"] += len(band)
-        return self._topk(band, self._exact_rescore(terms, band), k)
-
-    def _bm25_wand(self, terms, k: int):
-        """Document-at-a-time block-max WAND (north-star traversal;
-        Broder et al. 2003 pivoting + Ding & Suel 2011 block-max
-        refinement over the shard block metadata).
-
-        Invariants making it rank-identical to the exhaustive path:
-        * pivot selection accumulates ≥ theta (ties still evaluated, so
-          doc_id tie-breaks are exact);
-        * skipped docs have upper bound strictly below theta, hence
-          strictly below the kth score;
-        * every evaluated doc gets its EXACT full score.
-        """
-        import heapq
-
-        state = []
-        for ti, (qw, idf, p, st) in enumerate(terms):
-            docs, tfs = p[0], p[1]
-            if st.blk_last is not None:
-                blk_last = st.blk_last
-                blk_ub = _bm25_weight(st.blk_max_tf, st.blk_den, idf, qw)
-            else:  # salted sub-shards merged: one whole-list block
-                blk_last = docs[-1:].copy()
-                blk_ub = np.asarray([_bm25_weight(tfs, st.den, idf, qw).max()])
-            state.append(
-                {
-                    "ti": ti,  # original term order (exact-score summation)
-                    "docs": docs, "tfs": tfs, "den": st.den, "qw": qw, "idf": idf,
-                    "cur": 0, "n": len(docs),
-                    "blk_last": blk_last, "blk_ub": blk_ub,
-                    "ub": float(blk_ub.max()),
-                }
-            )
-
-        heap: list[tuple[float, int]] = []  # (score, -doc_id); root = evictee
-        theta = -np.inf
-        alive = [s for s in state if s["n"] > 0]
-        while alive:
-            alive.sort(key=lambda s: s["docs"][s["cur"]])
-            # pivot: first term index where the ub prefix-sum reaches theta
-            acc = 0.0
-            pivot_i = -1
-            t_eff = self._theta_slack(theta)
-            for i, s in enumerate(alive):
-                acc += s["ub"]
-                if len(heap) < k or acc >= t_eff:
-                    pivot_i = i
-                    break
-            if pivot_i == -1:
-                break  # sum of all remaining ubs < theta
-            pdoc = int(alive[pivot_i]["docs"][alive[pivot_i]["cur"]])
-            # all terms whose current doc <= pdoc (includes == ties past pivot)
-            j = pivot_i
-            while j + 1 < len(alive) and alive[j + 1]["docs"][alive[j + 1]["cur"]] <= pdoc:
-                j += 1
-            contrib = alive[: j + 1]
-            if int(alive[0]["docs"][alive[0]["cur"]]) == pdoc:
-                # block-max refinement: per-term CURRENT block upper bound
-                bub = 0.0
-                bis = []
-                for s in contrib:
-                    bi = min(
-                        int(np.searchsorted(s["blk_last"], pdoc, side="left")),
-                        len(s["blk_last"]) - 1,
-                    )
-                    bis.append(bi)
-                    bub += float(s["blk_ub"][bi])
-                if len(heap) >= k and bub < self._theta_slack(theta):
-                    # whole block combination can't reach theta: jump past
-                    # the nearest block boundary (or the next term's doc)
-                    d2 = min(int(s["blk_last"][bi]) for s, bi in zip(contrib, bis)) + 1
-                    if j + 1 < len(alive):
-                        d2 = min(d2, int(alive[j + 1]["docs"][alive[j + 1]["cur"]]))
-                    for s in contrib:
-                        s["cur"] += int(
-                            np.searchsorted(s["docs"][s["cur"] :], d2, side="left")
-                        )
-                else:
-                    # BLOCK-at-a-time full evaluation (vectorized): score
-                    # every doc in [pdoc, W), where W ends at the nearest
-                    # contrib-term block boundary and before the next
-                    # non-contrib term's cursor (terms beyond the window
-                    # hold no postings < W, so scores are complete).
-                    # Doc-at-a-time scalar evaluation was ~17x slower
-                    # (Python loop per posting); this keeps Python cost
-                    # at O(blocks), numpy does the scoring. Contributions
-                    # are added in ORIGINAL term order (ti) — the same
-                    # per-doc addition order as the exhaustive bincount,
-                    # so exact ties order identically (bitwise).
-                    W = min(int(s["blk_last"][bi]) for s, bi in zip(contrib, bis)) + 1
-                    if j + 1 < len(alive):
-                        W = min(W, int(alive[j + 1]["docs"][alive[j + 1]["cur"]]))
-                    uppers = []
-                    doc_parts = []
-                    for s in contrib:
-                        upper = s["cur"] + int(
-                            np.searchsorted(s["docs"][s["cur"] :], W, side="left")
-                        )
-                        uppers.append(upper)
-                        doc_parts.append(s["docs"][s["cur"] : upper])
-                    union = np.unique(np.concatenate(doc_parts))
-                    scores_v = np.zeros(len(union))
-                    for s, upper in sorted(
-                        zip(contrib, uppers), key=lambda x: x[0]["ti"]
-                    ):
-                        sl = slice(s["cur"], upper)
-                        pos = np.searchsorted(union, s["docs"][sl])
-                        w = _bm25_weight(s["tfs"][sl], s["den"][sl], s["idf"], s["qw"])
-                        np.add.at(scores_v, pos, w)
-                        s["cur"] = upper
-                    for d, sc in zip(union.tolist(), scores_v.tolist()):
-                        item = (sc, -d)
-                        if len(heap) < k:
-                            heapq.heappush(heap, item)
-                        elif item > heap[0]:
-                            heapq.heapreplace(heap, item)
-                    if len(heap) >= k:
-                        theta = heap[0][0]
-            else:
-                # advance the largest-ub term before the pivot to >= pdoc
-                lag = [s for s in contrib if int(s["docs"][s["cur"]]) < pdoc]
-                s = max(lag, key=lambda x: x["ub"])
-                s["cur"] += int(np.searchsorted(s["docs"][s["cur"] :], pdoc, side="left"))
-            alive = [s for s in alive if s["cur"] < s["n"]]
-
-        if not heap:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        docs = np.asarray([-d for _, d in heap], dtype=np.int64)
-        scores = np.asarray([sc for sc, _ in heap])
-        return self._topk(docs, scores, k)
+            docs = p[0]
+            if not len(docs):
+                continue
+            pos = np.minimum(np.searchsorted(docs, cands), len(docs) - 1)
+            hit = docs[pos] == cands
+            sel = pos[hit]
+            scores[hit] += _bm25_weight(p[1][sel], st.den[sel], idf, qw)
+            cnt["postings_scored"] += len(sel)
+            if st.blocks:
+                blk = sel // BLOCK_SIZE
+                touched = len(blk) - int(np.count_nonzero(blk[1:] == blk[:-1]))
+                cnt["blocks_skipped"] += st.blocks - touched
+        return self._topk(cands, scores, k)
 
     @staticmethod
     def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int | None):
@@ -965,6 +832,13 @@ class IndexSearcher:
         if k is not None and 0 < k < n:
             # `~(s < kth)` rather than `s >= kth` keeps NaN scores, which
             # the full lexsort would place last
+            if n >= 64 * k:
+                # k of 4k block maxima are >= their kth largest, so it is
+                # <= the kth score: a cut that shrinks the partition
+                m = n // (4 * k)
+                cut = _kth(scores[: 4 * k * m].reshape(4 * k, m).max(axis=1), k)
+                keep = np.flatnonzero(~(scores < cut))
+                doc_ids, scores = doc_ids[keep], scores[keep]
             keep = np.flatnonzero(~(scores < _kth(scores, k)))
             doc_ids, scores = doc_ids[keep], scores[keep]
         order = np.lexsort((doc_ids, -scores))

@@ -1,19 +1,20 @@
-"""Exact-tie ordering of the pruned BM25 traversals at a scale where
-per-doc float-addition order matters.
+"""Bitwise identity of the ranked BM25 path with its scan at a scale
+where per-doc float-addition order matters.
 
 Regression for a real divergence: summing a doc's term contributions in
-UB-sorted (MaxScore) or pivot-sorted (WAND) order can differ from the
-exhaustive bincount by 1 ulp, flipping the doc_id tie-break between
-docs whose true scores are exactly equal (duplicate (tf, dl) profiles —
-common in real corpora). Both traversals now produce scores summed in
-ORIGINAL term order (WAND: ti-sorted full evaluation; MaxScore: final
-`_exact_rescore` pass), making them bitwise identical to exhaustive.
-The 200-doc fixtures in test_build_query.py can't catch this; 3000
-docs with a repetitive vocabulary can.
+any order but the given term order can differ from the scan's bincount
+by 1 ulp, flipping the doc_id tie-break between docs whose true scores
+are exactly equal (duplicate (tf, dl) profiles — common in real
+corpora). The ranked path adds each term's weights in the given term
+order whether it scans or probes, so it stays bitwise identical to
+`prune=False`. The 200-doc fixtures in test_build_query.py can't catch
+this; 3000 docs with a repetitive vocabulary can.
 
-Also pinned here: the partition-based `_topk` against a full lexsort,
-the per-term BM25 state cache under an avgdl override, and the
-MaxScore work counters.
+Also pinned here: the choice between scan and probe (a dense query
+scans, a rare term lets a common one be probed, a near-tie at the
+cutoff stays exact), k at every edge, the partition-based `_topk`
+against a full lexsort, the per-term BM25 state cache under an avgdl
+override, and the work counters every ranked query tallies.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import pytest
 
 from mini_search_engine_ray.pipelines.build import build_index
 from mini_search_engine_ray.sources.corpus import synth_corpus
-from mini_search_engine_ray.state.searcher import IndexSearcher
+from mini_search_engine_ray.stages.shards import list_shards, open_shard
+from mini_search_engine_ray.state.searcher import IndexSearcher, _bm25_weight
 
 VOCAB = ["search", "shard", "stream", "reader", "writer", "index", "token",
          "merge", "parse", "request", "handler", "batch", "information",
@@ -53,6 +55,11 @@ def salted_searcher(ray_session, tmp_path_factory):
     return IndexSearcher(_build_3000(tmp_path_factory, "bm25x_salted", salt=3))
 
 
+def _stem(s, word: str) -> str:
+    (term,) = s.analyzer.analyze(word)
+    return term
+
+
 def _assert_same(got, want, what):
     assert got[0].tolist() == want[0].tolist(), (what, "ids")
     assert got[1].tolist() == want[1].tolist(), (what, "scores")
@@ -65,14 +72,8 @@ def test_pruned_traversals_bitwise_equal_exhaustive(big_searcher):
     for _ in range(120):
         q = list(rng.choice(VOCAB, size=int(rng.integers(2, 6)), replace=False))
         k = int(rng.integers(1, 25))
-        ids_e, sc_e = s.search_bm25(q, k, prune=False)
-        ids_m, sc_m = s.search_bm25(q, k, prune=True)
-        ids_w, sc_w = s.search_bm25(q, k, prune=True, method="wand")
-        assert ids_m.tolist() == ids_e.tolist(), (q, k, "maxscore ids")
-        assert ids_w.tolist() == ids_e.tolist(), (q, k, "wand ids")
         # bitwise score equality — not approx — is the contract
-        assert sc_m.tolist() == sc_e.tolist(), (q, k, "maxscore scores")
-        assert sc_w.tolist() == sc_e.tolist(), (q, k, "wand scores")
+        _assert_same(s.search_bm25(q, k), s.search_bm25(q, k, prune=False), (q, k))
         checked += 1
     assert checked == 120
 
@@ -82,47 +83,129 @@ def test_reviewer_repro_case(big_searcher):
     exactly-tied docs at ranks 3/4)."""
     s = big_searcher
     q = ["search", "shard", "stream", "the", "reader"]
-    ids_e, sc_e = s.search_bm25(q, 12, prune=False)
-    ids_w, sc_w = s.search_bm25(q, 12, prune=True, method="wand")
-    ids_m, sc_m = s.search_bm25(q, 12, prune=True)
-    assert ids_w.tolist() == ids_e.tolist()
-    assert ids_m.tolist() == ids_e.tolist()
-    assert sc_w.tolist() == sc_e.tolist()
-    assert sc_m.tolist() == sc_e.tolist()
+    _assert_same(s.search_bm25(q, 12), s.search_bm25(q, 12, prune=False), q)
 
 
 def test_single_term_and_edge_k_bitwise_equal_exhaustive(big_searcher):
-    """Single-term queries (MaxScore's direct top-k from the weight
-    vector), k beyond the candidate count (every candidate kept) and
-    k = 0 (nothing; the pruned paths take the exhaustive one)."""
+    """Single-term queries (top-k straight from the weight vector), k
+    beyond the candidate count (every candidate kept) and k = 0
+    (nothing; the ranked path scans)."""
     s = big_searcher
     rng = np.random.default_rng(29)
     for term in VOCAB:
         for k in (0, 1, 7, 5000):
             want = s.search_bm25([term], k, prune=False)
-            _assert_same(s.search_bm25([term], k), want, (term, k, "maxscore"))
-            _assert_same(s.search_bm25([term], k, method="wand"), want, (term, k, "wand"))
+            _assert_same(s.search_bm25([term], k), want, (term, k))
     for _ in range(20):
         q = list(rng.choice(VOCAB, size=int(rng.integers(2, 5)), replace=False))
         want = s.search_bm25(q, 5000, prune=False)
         assert len(want[0]) < 5000
-        _assert_same(s.search_bm25(q, 5000), want, (q, "maxscore"))
+        _assert_same(s.search_bm25(q, 5000), want, q)
 
 
 def test_salted_index_pruned_bitwise_equal_exhaustive(salted_searcher):
     """salt=3 merges each term's postings from three sub-shards, so
-    `_block_meta` is None and the pruned paths bound each term by its
-    exact weights instead of block maxima."""
+    `_block_meta` is None and each term's bound comes from its exact
+    weights instead of block maxima."""
     s = salted_searcher
     assert s._block_meta("search") is None
     rng = np.random.default_rng(31)
-    for i in range(40):
+    for _ in range(40):
         q = list(rng.choice(VOCAB, size=int(rng.integers(1, 5)), replace=False))
         k = int(rng.integers(1, 25))
-        want = s.search_bm25(q, k, prune=False)
-        _assert_same(s.search_bm25(q, k), want, (q, k, "maxscore"))
-        if i % 4 == 0:
-            _assert_same(s.search_bm25(q, k, method="wand"), want, (q, k, "wand"))
+        _assert_same(s.search_bm25(q, k), s.search_bm25(q, k, prune=False), (q, k))
+
+
+@pytest.mark.parametrize("which", ["big_searcher", "salted_searcher"])
+def test_k_fuzz_bitwise_equal_scan(which, request):
+    """Every k edge on the ranked path against the scan: 0, 1, 3, 10,
+    50, None and more than the candidates, over random queries of one
+    to five terms, including the rare terms that make it probe."""
+    s = request.getfixturevalue(which)
+    rng = np.random.default_rng(41)
+    rare = [w for w in VOCAB if any(0 < s.df(t) <= 50 for t in s.analyzer.analyze(w))]
+    assert rare
+    for i in range(60):
+        q = list(rng.choice(VOCAB, size=int(rng.integers(1, 6)), replace=False))
+        if i % 3 == 0:
+            q = [str(rng.choice(rare))] + q
+        for k in (0, 1, 3, 10, 50, None, 5000):
+            _assert_same(s.search_bm25(q, k), s.search_bm25(q, k, prune=False), (q, k))
+
+
+def test_dense_query_scans(big_searcher):
+    """Terms of similar df make probing dearer than scanning: the
+    ranked path scans, scoring every posting once and rescoring
+    nothing."""
+    q = ["search", "shard", "stream"]
+    _assert_same(big_searcher.search_bm25(q, 10),
+                 big_searcher.search_bm25(q, 10, prune=False), q)
+    s = IndexSearcher(big_searcher.index_dir)
+    s.search_bm25(q, 10)
+    dfs = [s.df(_stem(s, w)) for w in q]
+    assert min(dfs) * 2 > max(dfs) > 128
+    assert s.counters["queries"] == 1
+    assert s.counters["postings_scored"] == sum(dfs)
+    assert s.counters["docs_rescored"] == 0
+    assert s.counters["blocks_skipped"] == 0
+
+
+def _nearest_qw(tf, den, target: float, qw: float) -> float | None:
+    """A query weight within a few ulps of `qw` that makes the weight
+    of (tf, den) exactly `target`, or None."""
+    for _ in range(8):
+        w = _bm25_weight(tf, den, 1.0, qw)
+        if w == target:
+            return qw
+        qw = np.nextafter(qw, np.inf if w < target else -np.inf)
+    return None
+
+
+def test_near_tie_at_the_cutoff_stays_exact(salted_searcher):
+    """A doc holding only the probed term ties the cutoff exactly while
+    that term's bound rounds one ulp below its weight.
+
+    On the salted index a term's bound is its largest weight, taken in
+    a different operation order, so for some query weights it rounds
+    below the weight itself. The common term's best doc d gets such a
+    weight, and the rare term's query weight is set so that its kth
+    weight, the cutoff, equals d's weight exactly. The scan then ranks
+    d into the top-k by the doc_id tie-break. The bound test must stay
+    conservative by `_theta_slack`, or the common term is probed
+    without d among the candidates."""
+    s = salted_searcher
+    common = "inform"
+    p_c = s.postings(common)
+    st_c = s._bm25_state(common, p_c)
+    j = int(np.argmax(_bm25_weight(p_c[1], st_c.den, 1.0, 1.0)))
+    d = int(p_c[0][j])
+    qws = [q for q in 1.0 + np.arange(1, 400) / 397.0
+           if q * st_c.ub_unit < _bm25_weight(p_c[1][j], st_c.den[j], 1.0, q)][:2]
+    assert qws
+    rares = sorted(t for sid in list_shards(s.index_dir)
+                   for t, df in zip(*open_shard(s.index_dir, sid).select(["term", "df"])
+                                    .to_pydict().values()) if 10 <= df <= 50)
+    ties = 0
+    for rare in rares:
+        p_r = s.postings(rare)
+        if ties >= 6 or d in p_r[0]:
+            continue
+        st_r = s._bm25_state(rare, p_r)
+        order = np.lexsort((p_r[0], -_bm25_weight(p_r[1], st_r.den, 1.0, 1.0)))
+        for k, kd in enumerate(order.tolist(), start=1):
+            if p_r[0][kd] < d or p_r[0][kd] in p_c[0]:
+                continue
+            for qc in qws:
+                w_d = _bm25_weight(p_c[1][j], st_c.den[j], 1.0, qc)
+                qr = _nearest_qw(p_r[1][kd], st_r.den[kd], w_d,
+                                 w_d / _bm25_weight(p_r[1][kd], st_r.den[kd], 1.0, 1.0))
+                if qr is None:
+                    continue
+                tw = [(rare, qr, 1.0), (common, qc, 1.0)]
+                want = s.search_bm25_weighted(tw, k, prune=False)
+                _assert_same(s.search_bm25_weighted(tw, k), want, (rare, k, qc))
+                ties += d in want[0].tolist()
+    assert ties >= 6
 
 
 def _full_topk(ids, scores, k):
@@ -134,17 +217,19 @@ def _full_topk(ids, scores, k):
 def test_topk_matches_full_lexsort(seed):
     """Partition-then-sort top-k equals slicing the full (score desc,
     doc_id asc) order: few distinct scores, so ties straddle every kth
-    score, and each score is shared by many distinct doc_ids."""
+    score, and each score is shared by many distinct doc_ids. The 5000
+    scores take the block-maximum cut ahead of the partition for every
+    k up to 78."""
     rng = np.random.default_rng(seed)
-    n = 300
-    ids = rng.permutation(10 * n)[:n].astype(np.int64)
-    scores = rng.integers(0, 7, size=n) / 4.0
-    ks = [0, -3, 1, n - 1, n, n + 5, None] + rng.integers(2, n - 1, size=6).tolist()
-    for k in ks:
-        got = IndexSearcher._topk(ids, scores, k)
-        want = _full_topk(ids, scores, k)
-        assert got[0].tolist() == want[0].tolist(), k
-        assert got[1].tolist() == want[1].tolist(), k
+    for n, n_values in ((300, 7), (5000, 900)):
+        ids = rng.permutation(10 * n)[:n].astype(np.int64)
+        scores = rng.integers(0, n_values, size=n) / 4.0
+        ks = [0, -3, 1, 10, 50, n - 1, n, n + 5, None] + rng.integers(2, n - 1, size=6).tolist()
+        for k in ks:
+            got = IndexSearcher._topk(ids, scores, k)
+            want = _full_topk(ids, scores, k)
+            assert got[0].tolist() == want[0].tolist(), (n, k)
+            assert got[1].tolist() == want[1].tolist(), (n, k)
     empty_ids, empty_scores = np.empty(0, dtype=np.int64), np.empty(0)
     for k in (0, 1, 5, None):
         got_ids, got_scores = IndexSearcher._topk(empty_ids, empty_scores, k)
@@ -154,25 +239,27 @@ def test_topk_matches_full_lexsort(seed):
 def test_avgdl_override_rebuilds_term_state(big_searcher):
     """A searcher that served queries before its stats were overridden
     (as `PartitionSearcher.__init__` does) must rebuild the cached BM25
-    denominators: it answers bitwise as one overridden up front."""
+    denominators and bounds: it answers bitwise as one overridden up
+    front."""
     d = big_searcher.index_dir
     rng = np.random.default_rng(37)
     queries = [list(rng.choice(VOCAB, size=int(rng.integers(1, 5)), replace=False))
-               for _ in range(12)]
+               for _ in range(12)] + [["needle", "information"]]
     served = IndexSearcher(d)
     for q in queries:
         served.search_bm25(q, 10)
-        served.search_bm25(q, 10, method="wand")
     fresh = IndexSearcher(d)
     for s in (served, fresh):
         s.n_docs = 5 * s.n_docs
         s.avgdl = 1.7 * s.avgdl
     for q in queries:
-        for kw in ({}, {"prune": False}, {"method": "wand"}):
+        for kw in ({}, {"prune": False}):
             _assert_same(served.search_bm25(q, 10, **kw), fresh.search_bm25(q, 10, **kw), (q, kw))
 
 
 def test_counters_keys(big_searcher):
+    """Every ranked query is tallied under the same five keys, scans,
+    one-term queries and queries with no known term included."""
     s = IndexSearcher(big_searcher.index_dir)
     keys = {"queries", "postings_scored", "blocks_skipped",
             "candidates_admitted", "docs_rescored"}
@@ -181,17 +268,26 @@ def test_counters_keys(big_searcher):
     assert set(s.counters) == keys
     assert s.counters["queries"] == 1
     assert s.counters["postings_scored"] > 0
+    s.search_bm25(["search", "shard"], 10, prune=False)
+    s.search_bm25(["search"], None)
+    s.search_bm25(["qwertyuiop"], 10)
+    assert set(s.counters) == keys
+    assert s.counters["queries"] == 4
 
 
 def test_rare_term_lets_common_term_skip_blocks(big_searcher):
-    """"needle" is in one doc; once it fills the top-1, "information"
-    (thousands of postings, many blocks) can no longer admit new docs
-    and scores only the blocks holding that candidate."""
-    s = IndexSearcher(big_searcher.index_dir)
+    """"needle" is in one doc; its weight is the top-1 cutoff, which
+    "information" (thousands of postings, many blocks) cannot reach
+    alone, so that term is probed with the one candidate and only the
+    block holding it is scored. With "needle" the only essential term,
+    the candidate is scored exactly in one pass: nothing is rescored."""
     q = ["needle", "information"]
+    _assert_same(big_searcher.search_bm25(q, 1),
+                 big_searcher.search_bm25(q, 1, prune=False), q)
+    s = IndexSearcher(big_searcher.index_dir)
+    s.search_bm25(q, 1)
     assert s.df("needl") == 1 and s.df("inform") > 2 * 128
-    got = s.search_bm25(q, 1)
-    _assert_same(got, s.search_bm25(q, 1, prune=False), q)
     assert s.counters["blocks_skipped"] >= 1
     assert s.counters["candidates_admitted"] == 1
+    assert s.counters["docs_rescored"] == 0
     assert s.counters["postings_scored"] < s.df("inform")

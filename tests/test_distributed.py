@@ -89,7 +89,8 @@ def test_bm25_bitwise_parity(indexes, P):
     dist = DistributedSearcher(str(indexes / f"dist{P}"), num_cpus_per_actor=0.25)
     try:
         for q in QUERIES:
-            for k, prune in [(10, True), (10, False), (None, False), (3, True)]:
+            for k, prune in [(10, True), (10, False), (None, False), (3, True),
+                             (1, True), (0, True), (None, True)]:
                 ids_s, sc_s = single.search_bm25(q, k, prune=prune)
                 ids_d, sc_d = dist.search_bm25(q, k, prune=prune)
                 assert ids_d.tolist() == ids_s.tolist(), (q, k, prune)

@@ -20,7 +20,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from mini_search_engine_ray.pipelines.build import EXCHANGE_DIR
+from mini_search_engine_ray.pipelines.build import EXCHANGE_DIR, read_exchange_partition
 from mini_search_engine_ray.stages import ingest
 from mini_search_engine_ray.stages.merge import MERGE_COUNTERS, merge_bucket
 from mini_search_engine_ray.stages.shards import list_shards, shard_paths, write_shard
@@ -53,12 +53,16 @@ def _write_index(d: str, docs: pa.Table, *, positional: bool, codec: str = "vari
             write_shard(group, index_dir=d, positional=positional, fingerprint="t", codec=codec)
 
 
-def _write_delta(d: str, docs: pa.Table, *, positional: bool) -> None:
-    """The delta's phase-A exchange partition for bucket 0."""
-    packed = ingest.TokenizeExplode(num_buckets=1, positional=positional, pack=True)(docs)
+def _write_delta(d: str, docs: pa.Table, *, positional: bool, parts: int = 1) -> None:
+    """The delta's phase-A exchange partition for bucket 0, one part
+    file per tokenize batch."""
     part = os.path.join(d, EXCHANGE_DIR, "shard=0")
     os.makedirs(part)
-    pq.write_table(packed.drop_columns(["shard"]), os.path.join(part, "part-0.parquet"))
+    step = -(-docs.num_rows // parts)
+    for i in range(parts):
+        packed = ingest.TokenizeExplode(num_buckets=1, positional=positional, pack=True)(
+            docs.slice(i * step, step))
+        pq.write_table(packed.drop_columns(["shard"]), os.path.join(part, f"part-{i}.parquet"))
 
 
 def _bytes(d: str) -> dict[int, bytes]:
@@ -70,13 +74,14 @@ def _bytes(d: str) -> dict[int, bytes]:
 
 
 def _merge_case(tmp_path, live: pa.Table, delta: pa.Table, *, positional: bool,
-                codec: str = "varint", salt: int = 1, drop: frozenset[str] = frozenset()) -> dict:
+                codec: str = "varint", salt: int = 1, drop: frozenset[str] = frozenset(),
+                parts: int = 1) -> dict:
     """Merge `delta` (an exchange) into `live` (built with `codec`,
     `salt`), assert the bytes equal a build over the union, and return
     the merge's counters."""
     src, dlt, out, ref = (str(tmp_path / x) for x in ("live", "delta", "out", "ref"))
     _write_index(src, live, positional=positional, codec=codec, salt=salt)
-    _write_delta(dlt, delta, positional=positional)
+    _write_delta(dlt, delta, positional=positional, parts=parts)
     row = merge_bucket(0, [src], out, salts=[salt], positional=positional, fingerprint="m",
                        drop_terms=drop, codec=codec, deltas=[dlt], delta_salts=[1])
     union = pa.concat_tables([live, delta])
@@ -141,6 +146,25 @@ def test_salted_live_index_rebuilds(tmp_path, positional):
     delta = _docs(range(300, 400), rng, alpha=set(range(300, 400)))
     c = _merge_case(tmp_path, live, delta, positional=positional, salt=3)
     assert c["terms_copied"] == 0 and c["terms_appended"] == 0
+
+
+def test_exchange_partition_read_as_discovery(tmp_path):
+    """A delta written as three part files, beside temp files that
+    Arrow's dataset discovery skips, reads as discovery reads it and
+    merges to the bytes of one build over the union."""
+    rng = random.Random(17)
+    live, delta = _docs(range(300), rng, set(range(0, 300, 3))), _docs(range(300, 420), rng, {301})
+    dlt = str(tmp_path / "delta")
+    _write_delta(dlt, delta, positional=False, parts=3)
+    part = os.path.join(dlt, EXCHANGE_DIR, "shard=0")
+    for junk in ("_tmp-part-3.parquet", ".part-0.parquet.crc"):
+        with open(os.path.join(part, junk), "wb") as f:
+            f.write(b"not parquet")
+    got = read_exchange_partition(dlt, 0)
+    want = pq.read_table(part)
+    assert got.equals(want) and got.schema.equals(want.schema, check_metadata=True)
+    assert read_exchange_partition(dlt, 1) is None
+    _merge_case(tmp_path / "m", live, delta, positional=False, parts=3)
 
 
 def test_doc_term_order_matches_lexsort():
