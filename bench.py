@@ -94,7 +94,6 @@ def _build(corpus_path: str, index_dir: str, *, n_docs: int, salt: int) -> dict:
         positional=False,
         n_docs=n_docs,
         fingerprint=corpus_fingerprint([corpus_path]),
-        tokenize_concurrency=max(2, NUM_CPUS // 2),
         tokenize_batch_size=4096,
         write_docstore=True,
         # cap concurrent heavy tasks at wide cpu counts: this host's
@@ -169,7 +168,6 @@ def bench_docs_index_build(out: dict) -> None:
         positional=True,
         n_docs=n,
         fingerprint=corpus_fingerprint([src]),
-        tokenize_concurrency=max(2, NUM_CPUS // 2),
         write_docstore=False,
     )
     out["queries"]["docs_index_build"] = round(time.time() - t0, 3)

@@ -69,8 +69,9 @@ class WordBreakAnalyzer:
     word-break analyzer composition; `analysis/WordBreakTokenizer.java`
     + `JapaneseTokenizer.java` are the same DP with a different
     dictionary). The 82k-entry dictionary loads ONCE per instance —
-    i.e. once per Ray actor (SURVEY §2 ST1). With no `dict_path` the
-    shipped public dictionary is used (`resources/
+    i.e. once per Ray worker process, which caches its tokenize kernel
+    (`stages/ingest.tokenize_explode_task`; SURVEY §2 ST1). With no
+    `dict_path` the shipped public dictionary is used (`resources/
     cs221_frequency_dictionary_en.txt`, reference parity out of the
     box); `lang="jp"` selects the Japanese dictionary."""
 
@@ -105,9 +106,15 @@ _REGISTRY: dict[str, Callable[..., Analyzer]] = {
 }
 
 
+def is_dictionary_analyzer(name: str) -> bool:
+    """True for the analyzers built from a frequency dictionary
+    (word-break / japanese), which take `dict_path=`."""
+    return name.startswith("wordbreak") or name == "japanese"
+
+
 def make_analyzer(name: str, **kwargs) -> Analyzer:
     """Build an analyzer by registry name (analyzers are constructed
-    inside Ray actors from their name so no heavy state is pickled).
+    inside Ray workers from their name so no heavy state is pickled).
     Word-break analyzers take `dict_path=` (the frequency dictionary
     file, `word freq` lines)."""
     try:

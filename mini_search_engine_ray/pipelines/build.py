@@ -7,7 +7,8 @@
       -> one task per CPU slot, shards dealt          phase B
          round-robin: read partition, write_shard
       -> manifests (tiny) -> meta.json
-    [+ docstore write: doc_id, repo, path, lang, sha256, content]
+    [+ docstore side-output by the tokenize tasks: doc_id, repo, path,
+       lang, sha256, content]
 
 Mirrors the reference lifecycle `addDocument* -> flush ->
 mergeAllSegments` (`InvertedIndexManager.java:162-298,327-440`) but the
@@ -38,13 +39,12 @@ import json
 import os
 import shutil
 import time
-from collections.abc import Callable
 
 import pyarrow as pa
 
 from ..sources.corpus import sha256_column
 from ..stages.fanout import run_keyed
-from ..stages.ingest import TokenizeExplode, tokenize_explode_task
+from ..stages.ingest import tokenize_explode_task
 from ..stages.shards import write_shard
 
 META_FILE = "meta.json"
@@ -59,10 +59,10 @@ def _docstore_batch(t: pa.Table) -> pa.Table:
 
 
 def _write_docstore_part(t: pa.Table, docstore_dir: str) -> None:
-    """Side-output one docstore partition from a tokenize batch
-    (single-pass mode). Batches partition the corpus into disjoint
-    doc_id ranges, so the range-named file is unique per batch and a
-    retried task rewrites it idempotently (tmp + atomic rename)."""
+    """Side-output one docstore partition from a tokenize batch.
+    Batches partition the corpus into disjoint doc_id ranges, so the
+    range-named file is unique per batch and a retried task rewrites it
+    idempotently (tmp + atomic rename)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -82,6 +82,15 @@ def _write_docstore_part(t: pa.Table, docstore_dir: str) -> None:
     os.replace(tmp, path)
 
 
+def _tokenize_batch(batch: pa.Table, *, docstore_dir: str | None, **kw) -> pa.Table:
+    """One phase-A task: write the batch's docstore partition when
+    `docstore_dir` is set, then tokenize + explode its (doc_id, content)
+    through the worker's cached kernel."""
+    if docstore_dir is not None:
+        _write_docstore_part(batch, docstore_dir)
+    return tokenize_explode_task(batch.select(["doc_id", "content"]), **kw)
+
+
 def build_index(
     corpus_ds,
     index_dir: str,
@@ -92,13 +101,10 @@ def build_index(
     positional: bool = False,
     n_docs: int | None = None,
     fingerprint: str = "",
-    tokenize_concurrency: int | tuple[int, int] = 2,
     tokenize_batch_size: int = 1024,
     write_docstore: bool = True,
-    docstore_mode: str = "single_pass",
     codec: str = "varint",
     wordbreak_dict_path: str | None = None,
-    keep_exchange: bool = False,
     task_num_cpus: int = 1,
 ) -> dict:
     """Build an inverted index under `index_dir`; returns the meta dict.
@@ -113,15 +119,12 @@ def build_index(
     durable checkpoint (phase A is skipped on resume when its commit
     marker matches the build fingerprint).
 
-    docstore_mode="single_pass" (default): tokenize tasks side-output
-    their batch's docstore partition before exploding — the corpus is
-    read ONCE (at 100 TB a second scan doubles ingest bytes). Partition
-    files are doc_id-range-named, idempotent under task retry, and
-    wiped with the exchange dir on a non-resumed run (batch boundaries
-    may differ between runs). "overlap" runs the docstore write as a
-    separate concurrent dataset execution (second corpus scan that
-    overlaps the CPU-bound tokenize; fine when the corpus is cached /
-    small). The word-break actor path always uses "overlap".
+    With `write_docstore` the tokenize tasks side-output their batch's
+    docstore partition before exploding, so the corpus is read ONCE (at
+    100 TB a second scan doubles ingest bytes). Partition files are
+    doc_id-range-named, idempotent under task retry, and wiped with the
+    exchange dir on a non-resumed run (batch boundaries may differ
+    between runs).
     """
     os.makedirs(index_dir, exist_ok=True)
     if n_docs is None:
@@ -139,21 +142,18 @@ def build_index(
         return done
 
     timings: dict[str, float] = {}
-    wait_docstore = write_exchange(
+    write_exchange(
         corpus_ds, index_dir, fingerprint=full_fp, n_docs=n_docs,
         analyzer=analyzer, num_buckets=num_buckets, salt=salt,
-        positional=positional, tokenize_concurrency=tokenize_concurrency,
-        tokenize_batch_size=tokenize_batch_size, write_docstore=write_docstore,
-        docstore_mode=docstore_mode, wordbreak_dict_path=wordbreak_dict_path,
+        positional=positional, tokenize_batch_size=tokenize_batch_size,
+        write_docstore=write_docstore, wordbreak_dict_path=wordbreak_dict_path,
         task_num_cpus=task_num_cpus, timings=timings,
     )
     manifests, phase_b_tasks = _build_shards(
         index_dir, positional=positional, fingerprint=full_fp, codec=codec,
         task_num_cpus=task_num_cpus, timings=timings,
     )
-    wait_docstore()
-    if not keep_exchange:
-        shutil.rmtree(os.path.join(index_dir, EXCHANGE_DIR), ignore_errors=True)
+    shutil.rmtree(os.path.join(index_dir, EXCHANGE_DIR), ignore_errors=True)
 
     total_tf = sum(m["total_tf"] for m in manifests)
     n_postings = sum(m["n_postings"] for m in manifests)
@@ -219,105 +219,46 @@ def write_exchange(
     num_buckets: int = 16,
     salt: int = 1,
     positional: bool = False,
-    tokenize_concurrency: int | tuple[int, int] = 2,
     tokenize_batch_size: int = 1024,
     write_docstore: bool = True,
-    docstore_mode: str = "single_pass",
     wordbreak_dict_path: str | None = None,
     task_num_cpus: int = 1,
     timings: dict | None = None,
-) -> Callable[[], None]:
+) -> None:
     """Phase A of a build: tokenize `corpus_ds` and write its packed
     posting fragments to ``index_dir/exchange``, hive-partitioned by
     shard, then commit the exchange with a marker (`load_exchange_meta`
     reads it back). Skipped when the marker already holds the same
-    fingerprint. The single-pass docstore side-output lands in
-    ``index_dir/docstore`` and is wiped and committed together with
-    the exchange.
+    fingerprint.
 
-    Returns a function that waits for the "overlap" docstore write (a
-    separate execution that runs concurrently; a no-op in single-pass
-    mode) and raises if it failed."""
+    Every analyzer runs as stateless tasks with a per-worker cached
+    kernel (`stages/ingest.tokenize_explode_task`; a word-break
+    dictionary is loaded once per worker process). With
+    `write_docstore` the same tasks side-output the docstore to
+    ``index_dir/docstore``, which is wiped and committed together with
+    the exchange."""
     docstore_dir = os.path.join(index_dir, "docstore")
-    # heavy-dictionary analyzers (word-break DP / japanese) need the
-    # actor-pool path and take dict_path
-    is_heavy_dict = analyzer.startswith("wordbreak") or analyzer == "japanese"
-    single_pass_docstore = (
-        write_docstore and docstore_mode == "single_pass" and not is_heavy_dict
+    # the phase-A commit marker also encodes whether phase A wrote the
+    # docstore: a committed exchange without it can't serve a run that
+    # needs one and vice versa (shard manifests keep the build
+    # fingerprint — shard bytes never depend on docstore settings)
+    marker_fp = f"{fingerprint}:docstore={'single_pass' if write_docstore else 'none'}"
+    # the docstore needs the full row; the tokenizer only (doc_id, content)
+    projected = corpus_ds if write_docstore else corpus_ds.select_columns(["doc_id", "content"])
+    exploded = projected.map_batches(
+        functools.partial(
+            _tokenize_batch,
+            docstore_dir=docstore_dir if write_docstore else None,
+            analyzer=analyzer,
+            num_buckets=num_buckets,
+            salt=salt,
+            positional=positional,
+            wordbreak_dict_path=wordbreak_dict_path,
+        ),
+        batch_format="pyarrow",
+        batch_size=tokenize_batch_size,
+        num_cpus=task_num_cpus,
     )
-    # the phase-A commit marker must also encode whether phase A
-    # produced the docstore as a side output: a committed single-pass
-    # exchange can't serve a run that needs no docstore side-output and
-    # vice versa. none-vs-overlap need NOT be distinguished — the
-    # overlap docstore comes from a separate corpus scan, so phase A's
-    # bytes are identical either way (shard manifests keep the build
-    # fingerprint — shard bytes never depend on docstore settings).
-    marker_fp = f"{fingerprint}:docstore={'single_pass' if single_pass_docstore else 'external'}"
-
-    # overlap mode: docstore written CONCURRENTLY with the index pipeline
-    # (separate dataset execution in a thread — IO-bound vs CPU-bound)
-    docstore_thread = None
-    docstore_error: list[BaseException] = []
-    if write_docstore and not single_pass_docstore:
-        import threading
-
-        # stale partitions (from a prior run's different batching or a
-        # crashed single-pass attempt) must not survive: write_parquet
-        # appends uuid-named files, it does not replace
-        shutil.rmtree(docstore_dir, ignore_errors=True)
-
-        def _write_docstore():
-            try:
-                corpus_ds.map_batches(_docstore_batch, batch_format="pyarrow").write_parquet(
-                    docstore_dir
-                )
-            except BaseException as e:  # surfaced by wait_docstore
-                docstore_error.append(e)
-
-        docstore_thread = threading.Thread(target=_write_docstore, daemon=True)
-        docstore_thread.start()
-
-    def wait_docstore() -> None:
-        if docstore_thread is not None:
-            docstore_thread.join()
-            if docstore_error:
-                raise RuntimeError("docstore write failed") from docstore_error[0]
-
-    te_kwargs = dict(
-        analyzer=analyzer,
-        num_buckets=num_buckets,
-        salt=salt,
-        positional=positional,
-        wordbreak_dict_path=wordbreak_dict_path,
-    )
-    if is_heavy_dict:
-        # heavy per-actor state (frequency dictionary): actor pool
-        exploded = corpus_ds.select_columns(["doc_id", "content"]).map_batches(
-            TokenizeExplode,
-            fn_constructor_kwargs=te_kwargs,
-            batch_format="pyarrow",
-            batch_size=tokenize_batch_size,
-            concurrency=tokenize_concurrency,
-        )
-    else:
-        # light state: stateless tasks with a per-worker cached kernel
-        # (see stages/ingest.tokenize_explode_task) — no actor-spawn
-        # churn, elastic task scaling
-        if single_pass_docstore:
-            def tokenize_fn(batch: pa.Table, **kw) -> pa.Table:
-                _write_docstore_part(batch, docstore_dir)
-                return tokenize_explode_task(batch.select(["doc_id", "content"]), **kw)
-
-            projected = corpus_ds  # docstore needs the full row
-        else:
-            tokenize_fn = tokenize_explode_task
-            projected = corpus_ds.select_columns(["doc_id", "content"])
-        exploded = projected.map_batches(
-            functools.partial(tokenize_fn, **te_kwargs),
-            batch_format="pyarrow",
-            batch_size=tokenize_batch_size,
-            num_cpus=task_num_cpus,
-        )
 
     ex_dir = os.path.join(index_dir, EXCHANGE_DIR)
     t0 = time.time()
@@ -327,7 +268,7 @@ def write_exchange(
         committed = False
     if not committed:
         shutil.rmtree(ex_dir, ignore_errors=True)
-        if single_pass_docstore:
+        if write_docstore:
             # batch boundaries may differ run to run: clear stale parts
             shutil.rmtree(docstore_dir, ignore_errors=True)
         exploded.write_parquet(ex_dir, partition_cols=["shard"])
@@ -342,7 +283,6 @@ def write_exchange(
         os.replace(marker + ".tmp", marker)
     if timings is not None:
         timings["phase_a_tokenize_exchange"] = time.time() - t0
-    return wait_docstore
 
 
 def _build_shards(
@@ -484,7 +424,7 @@ def add_documents(
     has_docstore = os.path.isdir(os.path.join(index_dir, "docstore"))
     n_docs = new_docs_ds.count() if n_new_docs is None else n_new_docs
     timings: dict[str, float] = {}
-    wait_docstore = write_exchange(
+    write_exchange(
         new_docs_ds,
         delta_dir,
         fingerprint=f"delta:{fingerprint}:{meta['fingerprint']}:{n_docs}",
@@ -496,7 +436,6 @@ def add_documents(
         wordbreak_dict_path=meta.get("wordbreak_dict_path"),
         timings=timings,
     )
-    wait_docstore()
     merged = merge_indexes(
         [index_dir], merged_dir, deltas=[delta_dir], merge_docstore=has_docstore,
         timings=timings,

@@ -1,9 +1,10 @@
 """Tokenize + explode: the ingestion `map_batches` stage.
 
-Stateful actor-pool stage (`map_batches(TokenizeExplode, concurrency=N,
-batch_format="pyarrow")`): the analyzer (stemmer memo-cache, compiled
-regexes, word-break dictionary) is built ONCE per actor in `__init__`;
-each `__call__` turns an Arrow batch of documents into exploded posting
+Stateless tasks (`map_batches(partial(tokenize_explode_task, ...),
+batch_format="pyarrow")`) over a `TokenizeExplode` kernel cached per
+worker process: the analyzer (stemmer memo-cache, compiled regexes,
+word-break dictionary) is built ONCE per worker and settings; each
+`__call__` turns an Arrow batch of documents into exploded posting
 rows `(term, shard, doc_id, tf, doc_len[, positions])` — one row per
 distinct (term, doc) pair, replacing the reference's per-document
 `addDocument` + `countTokens` loop
@@ -14,7 +15,7 @@ same single pass).
 Vectorization: tokenizing is pyarrow.compute (utf8_lower +
 split_pattern_regex over the whole batch, zero-copy from the object
 store); stemming touches only the batch's *unique* tokens via
-dictionary encoding (memoized across batches per actor); tf / positions
+dictionary encoding (memoized across batches per worker); tf / positions
 / doc_len come from one numpy pass: a stable argsort on the combined
 (doc, term) key, then run detection. No per-row Python in the
 punctuation/code paths.
@@ -28,12 +29,13 @@ stage (stages/merge.py) or the searcher merges back in doc_id order.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.analyzers import make_analyzer
+from ..functions.analyzers import is_dictionary_analyzer, make_analyzer
 from ..functions.porter import PorterStemmer
 from ..functions.stopwords import STOP_WORDS
 from ..functions.tokenizers import (
@@ -64,14 +66,18 @@ _TE_CACHE: dict[tuple, "TokenizeExplode"] = {}
 
 
 def tokenize_explode_task(batch: pa.Table, **kw) -> pa.Table:
-    """Stateless-task variant of TokenizeExplode for light-state
-    analyzers: the kernel instance (stemmer memo cache, compiled
-    regexes) is cached in a module global, so Ray's REUSED worker
-    processes keep it warm across tasks and across builds — actor-pool
-    amortization without actor-spawn churn, and task counts scale
-    elastically with available CPUs. Heavy-state analyzers (word-break
-    dictionaries) should keep the actor-pool path."""
+    """Run `TokenizeExplode(**kw)` on `batch` as a stateless task, for
+    every analyzer: the kernel instance (stemmer memo cache, compiled
+    regexes, word-break dictionary) is cached in a module global keyed
+    by its settings, so Ray's REUSED worker processes keep it warm
+    across tasks and across builds, and a dictionary is loaded once per
+    worker process. The key also holds the dictionary file's size and
+    mtime, so a dictionary rewritten in place is loaded anew."""
     key = tuple(sorted(kw.items()))
+    dict_path = kw.get("wordbreak_dict_path")
+    if dict_path is not None:
+        st = os.stat(dict_path)
+        key += ((st.st_size, st.st_mtime_ns),)
     te = _TE_CACHE.get(key)
     if te is None:
         te = TokenizeExplode(**kw)
@@ -81,7 +87,7 @@ def tokenize_explode_task(batch: pa.Table, **kw) -> pa.Table:
 
 
 class TokenizeExplode:
-    """Callable-class stage for `map_batches` actor pools."""
+    """The batch kernel: documents -> packed (or exploded) posting rows."""
 
     def __init__(
         self,
@@ -102,11 +108,7 @@ class TokenizeExplode:
         self._bucket_cache: dict[str, int] = {}
         self._vector_path = analyzer in ("composable", "punctuation", "code", "code_nostem", "naive")
         if not self._vector_path:
-            kw = (
-                {"dict_path": wordbreak_dict_path}
-                if analyzer.startswith("wordbreak") or analyzer == "japanese"
-                else {}
-            )
+            kw = {"dict_path": wordbreak_dict_path} if is_dictionary_analyzer(analyzer) else {}
             self._analyzer = make_analyzer(analyzer, **kw)
         self._stem_tokens = analyzer in ("composable", "code")
 
@@ -193,7 +195,7 @@ class TokenizeExplode:
         dict_arr = values.dictionary_encode()
         codes = dict_arr.indices.to_numpy(zero_copy_only=False)
         vocab = dict_arr.dictionary.to_pylist()
-        if self._stem_tokens and not self._vector_path_already_stemmed():
+        if self._stem_tokens:
             stem = self._stemmer.stem
             vocab = [stem(v) for v in vocab]
         # merge tokens that stem to the same term
@@ -296,9 +298,6 @@ class TokenizeExplode:
             pos_frag_off = new_off[frag_off].astype(np.int32)
             cols["pos"] = lst(pa.array(p_posflat, type=pa.int32()), pos_frag_off)
         return pa.table(cols)
-
-    def _vector_path_already_stemmed(self) -> bool:
-        return False  # vector tokenizers never stem; stemming is the dictionary pass
 
     def _bucket(self, term: str) -> int:
         b = self._bucket_cache.get(term)

@@ -49,7 +49,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..functions.analyzers import make_analyzer
+from ..functions.analyzers import is_dictionary_analyzer, make_analyzer
 from .searcher import IndexSearcher, bm25_idf
 
 ROOT_META_FILE = "root_meta.json"
@@ -248,11 +248,7 @@ class DistributedSearcher:
         self.n_docs = int(meta["n_docs"])
         self.avgdl = float(meta["avgdl"]) or 1.0
         an = meta["analyzer"]
-        an_kw = (
-            {"dict_path": meta["wordbreak_dict_path"]}
-            if an.startswith("wordbreak") or an == "japanese"
-            else {}
-        )
+        an_kw = {"dict_path": meta["wordbreak_dict_path"]} if is_dictionary_analyzer(an) else {}
         self.analyzer = make_analyzer(an, **an_kw)
         cls = ray.remote(num_cpus=num_cpus_per_actor)(PartitionSearcher)
         self.actors = [

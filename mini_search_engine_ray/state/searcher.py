@@ -50,7 +50,7 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
-from ..functions.analyzers import make_analyzer
+from ..functions.analyzers import is_dictionary_analyzer, make_analyzer
 from ..pipelines.build import load_meta
 from ..stages.ingest import term_bucket
 from ..stages.shards import BLOCK_SIZE, decode_posting_row, open_shard
@@ -224,11 +224,7 @@ class IndexSearcher:
         self.index_dir = index_dir
         self.meta = load_meta(index_dir)
         an = self.meta["analyzer"]
-        an_kw = (
-            {"dict_path": self.meta["wordbreak_dict_path"]}
-            if an.startswith("wordbreak") or an == "japanese"
-            else {}
-        )
+        an_kw = {"dict_path": self.meta["wordbreak_dict_path"]} if is_dictionary_analyzer(an) else {}
         self.analyzer = make_analyzer(an, **an_kw)
         self.num_buckets = int(self.meta["num_buckets"])
         self.salt = int(self.meta.get("salt", 1))
@@ -827,19 +823,19 @@ class IndexSearcher:
         """First k of (score desc, doc_id asc). For 0 < k < n only the
         docs scoring >= the kth score (every boundary tie included) are
         sorted; k None, k <= 0 and k >= n sort everything, as slicing
-        the full order does."""
+        the full order does. Scores must not be NaN (`np.partition`
+        ranks NaN above every number); no BM25 or tf-idf score is, as
+        every denominator and norm is positive."""
         n = len(scores)
         if k is not None and 0 < k < n:
-            # `~(s < kth)` rather than `s >= kth` keeps NaN scores, which
-            # the full lexsort would place last
             if n >= 64 * k:
                 # k of 4k block maxima are >= their kth largest, so it is
                 # <= the kth score: a cut that shrinks the partition
                 m = n // (4 * k)
                 cut = _kth(scores[: 4 * k * m].reshape(4 * k, m).max(axis=1), k)
-                keep = np.flatnonzero(~(scores < cut))
+                keep = np.flatnonzero(scores >= cut)
                 doc_ids, scores = doc_ids[keep], scores[keep]
-            keep = np.flatnonzero(~(scores < _kth(scores, k)))
+            keep = np.flatnonzero(scores >= _kth(scores, k))
             doc_ids, scores = doc_ids[keep], scores[keep]
         order = np.lexsort((doc_ids, -scores))
         if k is not None:

@@ -182,6 +182,40 @@ def test_add_documents_byte_identical_to_single_build(ray_session, tmp_path):
 
 
 
+def test_wordbreak_docstore_build_and_update(ray_session, tmp_path):
+    """A dictionary-analyzer build writes its docstore in the tokenize
+    pass like any other, and `add_documents` onto it merges the docstore
+    to base + delta and the postings to match a search over both."""
+    import hashlib
+
+    import ray.data as rd
+
+    from mini_search_engine_ray.pipelines.build import add_documents
+
+    dict_path = tmp_path / "dict.txt"
+    dict_path.write_text("cat 900000\ndog 800000\nbird 500000\nfish 400000\n")
+    texts = ["catdog", "birdcat", "dogdogdog", "fishbird", "catcat", "dogfish",
+             "birdbird", "fishcat", "dogbird", "catfish"]
+    corpus = pa.table({"doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+                       "content": pa.array(texts)})
+    live = str(tmp_path / "wb")
+    build_index(rd.from_arrow(corpus.slice(0, 6)), live, analyzer="wordbreak",
+                num_buckets=2, n_docs=6, fingerprint="wb", write_docstore=True,
+                wordbreak_dict_path=str(dict_path))
+    base = _docstore_rows(live)
+    assert base["doc_id"].to_pylist() == list(range(6))
+    add_documents(live, rd.from_arrow(corpus.slice(6)), n_new_docs=4)
+
+    rows = _docstore_rows(live)
+    assert rows["doc_id"].to_pylist() == list(range(len(texts)))
+    assert rows["content"].to_pylist() == texts
+    assert rows["sha256"].to_pylist() == [hashlib.sha256(t.encode()).hexdigest() for t in texts]
+    assert rows.slice(0, 6).equals(base)
+    s = IndexSearcher(live)
+    assert s.search_keyword("fish").tolist() == [3, 5, 7, 9]
+    assert s.search_and(["bird", "dog"]).tolist() == [8]
+
+
 def test_docstore_link_copy_fallback_and_collision(ray_session, tmp_path, monkeypatch):
     """The merged docstore links source parts; where linking fails
     (EXDEV across filesystems) it copies them, and a part name shared

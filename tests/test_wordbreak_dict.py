@@ -98,3 +98,33 @@ def test_dict_paths_exist():
 
     assert os.path.exists(default_dict_path("en"))
     assert os.path.exists(default_dict_path("jp"))
+
+
+def test_task_kernel_cache_keeps_dictionaries_apart(tmp_path, monkeypatch):
+    """Phase-A tasks share one cached kernel per worker process
+    (`tokenize_explode_task`): two dictionary files tokenized in one
+    process give their own terms, a repeat batch reuses the kernel, and
+    a dictionary rewritten in place is loaded anew."""
+    import pyarrow as pa
+
+    from mini_search_engine_ray.stages import ingest
+
+    monkeypatch.setattr(ingest, "_TE_CACHE", {})
+    batch = pa.table({"doc_id": pa.array([0, 1], pa.int64()),
+                      "content": pa.array(["hotdog", "dogfish"])})
+
+    def terms(path):
+        out = ingest.tokenize_explode_task(
+            batch, analyzer="wordbreak_nostem", num_buckets=1, salt=1,
+            positional=False, wordbreak_dict_path=str(path))
+        return sorted(out["vocab"].combine_chunks().flatten().to_pylist())
+
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("hot 100\ndog 100\nfish 100\n")
+    b.write_text("hotdog 100\ndogfish 100\n")
+    assert terms(a) == ["dog", "fish", "hot"]
+    assert terms(b) == ["dogfish", "hotdog"]
+    assert terms(a) == ["dog", "fish", "hot"]
+    assert len(ingest._TE_CACHE) == 2
+    a.write_text("hotdog 100\ndog 100\nfish 100\nextra 1\n")
+    assert terms(a) == ["dog", "fish", "hotdog"]
