@@ -42,6 +42,7 @@ import time
 
 import pyarrow as pa
 
+from ..functions.analyzers import is_dictionary_analyzer
 from ..sources.corpus import sha256_column
 from ..stages.fanout import run_keyed
 from ..stages.ingest import tokenize_explode_task
@@ -133,6 +134,8 @@ def build_index(
     full_fp = f"{fingerprint}:{analyzer}:{num_buckets}:{salt}:{int(positional)}:{n_docs}"
     if codec != "varint":  # keep round-1 fingerprints valid for the default
         full_fp += f":codec={codec}"
+    if is_dictionary_analyzer(analyzer):  # another dictionary, other terms
+        full_fp += f":dict={wordbreak_dict_path}"
 
     # fast resume: a COMPLETED build with the same fingerprint is a
     # no-op (meta + every shard manifest match, shard files present) —

@@ -1,56 +1,51 @@
-"""Distributed query serving: doc-partitioned scatter-gather.
+"""Multi-part query serving: doc-partitioned scatter-gather.
 
 A single `IndexSearcher` opens the WHOLE index — right up to the point
-where the index outgrows one node's page cache / local disk. This
-module is the 100×-scale shape: the corpus is partitioned BY DOC into P
-independent sub-indexes (each term-sharded internally, built by the
-same `build_index` pipeline), one long-lived Ray actor per partition
-opens only its partition, and every query is answered scatter-gather:
+where the index outgrows one node's page cache / local disk. Here the
+corpus is partitioned BY DOC into P independent sub-indexes (each
+built by `build_index`), and a query is answered over the parts in the
+reference's per-segment two passes (`InvertedIndexManager.java:
+1351-1449`), generalized from segments to parts:
 
-  pass 1 (df exchange)  each partition actor reports local df for the
-                        query's analyzed terms; the coordinator sums
-                        them into GLOBAL df -> idf. This generalizes
-                        the reference's per-segment two-pass ranking
-                        (`InvertedIndexManager.java:1351-1449`: pass 1
-                        accumulates df over segments, pass 2 scores)
-                        from segments of one process to partitions of
-                        a cluster.
-  pass 2 (score+gather) each actor scores ITS docs with the global
-                        (idf, N, avgdl) and returns its local top-k
-                        (or all matches); the coordinator merges by
-                        (score desc, doc_id asc).
+  pass 1 (df exchange)  each part reports local df for the query's
+                        terms; the ranker sums them into GLOBAL df.
+  pass 2 (score+gather) each part scores ITS docs with the global
+                        (idf, N, avgdl) and returns its local top-k;
+                        the ranker merges them with the single index's
+                        `_topk` (score desc, doc_id asc).
 
-Exactness: a doc's postings for ALL terms live in its own partition
-(doc-partitioning, not term-partitioning), so per-doc scores are
-complete locally and — with accumulation in the coordinator's term
-order — bitwise-identical to a single-index search (tested). A doc in
-the global top-k is necessarily in its partition's local top-k under
-the same ordering, so merging per-partition top-k loses nothing.
+The ranking is ONE in-process class, `PartsSearcher`, holding a list of
+`PartitionSearcher` parts that it reaches only through
+`_each(method, *args)`. `DistributedSearcher` is only a Ray transport
+over it: its parts are `ray.remote(PartitionSearcher)` actors, one per
+partition, and its `_each` scatters the call and gathers the results.
 
-Network cost per query: P small df dicts (pass 1) + P result sets of
-at most k rows (pass 2) — independent of posting-list sizes.
-
-For throughput serving, `search_bm25_many` amortizes both round trips
-over a whole BATCH of queries: ONE df exchange for the union of
-uncached terms, then ONE scatter per actor carrying every query's
-term-weight triples (each actor scores all queries over its partition
-in a single remote call). Per-query results are identical to the
-one-at-a-time path (tested) — batching changes the transport, not the
-math. This is how a real serving tier runs: requests queue at the
-coordinator and ship to partition replicas in batches, so RTT and
-scheduling overhead are paid per batch, not per query.
+Exactness: a doc's postings for ALL terms live in its own part, so
+per-doc scores are complete locally and — summed in the ranker's term
+order — bitwise equal to a single-index search (tested). A doc in the
+global top-k is in its part's local top-k, so merging loses nothing; a
+negative k (the full order minus its last |k|) is cut once, in the
+merge. Per query the actors exchange P small df dicts and P result
+sets of at most k rows, independent of posting-list sizes.
+`search_bm25_many` pays those two round trips once per BATCH of
+queries (one df exchange for the union of uncached terms, one call per
+part carrying every query); `search_bm25` is its batch of one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
-
 import numpy as np
 
 from ..functions.analyzers import is_dictionary_analyzer, make_analyzer
-from .searcher import IndexSearcher, bm25_idf
+from .searcher import (
+    IndexSearcher,
+    _topk,
+    bm25_query_weights,
+    query_tokens,
+    tfidf_query_weights,
+)
 
 ROOT_META_FILE = "root_meta.json"
 
@@ -172,11 +167,11 @@ def load_root_meta(root_dir: str) -> dict:
 
 
 class PartitionSearcher:
-    """Per-partition worker: an `IndexSearcher` over ONE partition with
-    its stats overridden to the GLOBAL (N, avgdl) so BM25/tf·idf terms
-    normalize identically across partitions. Run as a Ray actor via
-    `ray.remote(PartitionSearcher)`; kept importable un-decorated for
-    in-process tests."""
+    """One part: an `IndexSearcher` over ONE partition with its stats
+    overridden to the GLOBAL (N, avgdl) so BM25/tf·idf terms normalize
+    identically across parts. `PartsSearcher` holds it in process;
+    `DistributedSearcher` runs it as a Ray actor via
+    `ray.remote(PartitionSearcher)`."""
 
     def __init__(self, part_dir: str, global_n_docs: int, global_avgdl: float) -> None:
         self.s = IndexSearcher(part_dir)
@@ -186,37 +181,32 @@ class PartitionSearcher:
     def local_dfs(self, terms: list[str]) -> dict[str, int]:
         return {t: self.s.df(t) for t in terms}
 
-    def search_bm25_weighted(self, term_weights, k, prune: bool):
-        return self.s.search_bm25_weighted(term_weights, k, prune=prune)
+    def search_bm25_weighted_many(self, batch, k, prune: bool, hydrate: bool):
+        """Score a whole batch of queries in one call: `batch` is a
+        list of term-weight triple lists (one per query). With
+        `hydrate` each result also carries the matching documents from
+        THIS part's docstore — (doc_ids, scores, contents) aligned by
+        position — so hydration needs no second round trip (the J4
+        docID->Document lookup of `InvertedIndexManager.java:912-914`,
+        done scatter-side)."""
+        out = [self.s.search_bm25_weighted(tw, k, prune=prune) for tw in batch]
+        return [self._hydrate(*r) for r in out] if hydrate else out
 
-    def search_bm25_weighted_many(self, batch, k, prune: bool):
-        """Score a whole batch of queries in one remote call: `batch`
-        is a list of term-weight triple lists (one per query). The
-        per-query work is identical to `search_bm25_weighted`; only the
-        transport is batched."""
-        return [self.s.search_bm25_weighted(tw, k, prune=prune) for tw in batch]
-
-    def search_tfidf_weighted(self, term_weights, top_k):
-        return self.s.search_tfidf_weighted(term_weights, top_k)
-
-    def search_bm25_weighted_hydrated(self, term_weights, k, prune: bool):
-        """Local top-k PLUS the matching documents from THIS partition's
-        docstore, in one remote call (the J4 docID->Document lookup of
-        `InvertedIndexManager.java:912-914`, done scatter-side so the
-        coordinator never runs a second round trip).  Returns
-        (doc_ids, scores, contents) aligned by position."""
-        ids, scores = self.s.search_bm25_weighted(term_weights, k, prune=prune)
+    def _hydrate(self, ids, scores):
         if len(ids) == 0:
             return ids, scores, []
         tbl = self.s.get_documents(ids)
         by_id = dict(zip(tbl["doc_id"].to_pylist(), tbl["content"].to_pylist()))
         return ids, scores, [by_id.get(int(i)) for i in ids]
 
+    def search_tfidf_weighted(self, term_weights, top_k):
+        return self.s.search_tfidf_weighted(term_weights, top_k)
+
     def search_boolean(self, kind: str, arg):
-        """Partition-local boolean search. Doc-partitioning means a
-        doc's postings for EVERY term live here, so keyword/AND/OR/
-        phrase need no cross-partition exchange at all — the result is
-        exactly this partition's slice of the global answer."""
+        """Part-local boolean search. Doc-partitioning means a doc's
+        postings for EVERY term live here, so keyword/AND/OR/phrase
+        need no cross-part exchange at all — the result is exactly this
+        part's slice of the global answer."""
         fn = {
             "keyword": self.s.search_keyword,
             "and": self.s.search_and,
@@ -231,127 +221,123 @@ class PartitionSearcher:
         return fn(arg)
 
 
-class DistributedSearcher:
-    """Scatter-gather coordinator over the partition actors.
+def _part_k(k: int | None) -> int | None:
+    """The k each part ranks by: a negative k cuts the last |k| of the
+    MERGED order, so the parts return every match for it."""
+    return None if k is not None and k < 0 else k
+
+
+def _gather_topk(results, k: int | None, hydrate: bool = False):
+    """Merge the parts' (doc_ids, scores[, contents]) into the first k
+    of (score desc, doc_id asc) — the single index's `_topk` over the
+    union, which is exact since the parts are doc-disjoint."""
+    docs = np.concatenate([np.asarray(r[0], dtype=np.int64) for r in results])
+    scores = np.concatenate([np.asarray(r[1], dtype=np.float64) for r in results])
+    ids, top = _topk(docs, scores, k)
+    if not hydrate:
+        return ids, top
+    content = dict(zip(docs.tolist(), (c for r in results for c in r[2])))
+    return ids, top, [content[i] for i in ids.tolist()]
+
+
+class PartsSearcher:
+    """The multi-part ranker, in process: global df exchange ->
+    part-local scoring with global idf -> top-k merge, over the
+    `PartitionSearcher` parts of a `build_partitioned_index` root.
 
     Results are bitwise-identical to a single-index `IndexSearcher`
     over the unpartitioned corpus (tested, incl. partition-count
-    invariance): global stats, coordinator-fixed term order, and the
-    shared (score desc, doc_id asc) tie rule make every partition score
-    its docs exactly as the single index would.
+    invariance): global stats, ranker-fixed term order, and the shared
+    (score desc, doc_id asc) tie rule make every part score its docs
+    exactly as the single index would. Every part is reached through
+    `_each`, which a transport (`DistributedSearcher`) overrides.
     """
 
-    def __init__(self, root_dir: str, *, num_cpus_per_actor: float = 1) -> None:
-        import ray
-
+    def __init__(self, root_dir: str) -> None:
         meta = load_root_meta(root_dir)
         self.n_docs = int(meta["n_docs"])
         self.avgdl = float(meta["avgdl"]) or 1.0
         an = meta["analyzer"]
         an_kw = {"dict_path": meta["wordbreak_dict_path"]} if is_dictionary_analyzer(an) else {}
         self.analyzer = make_analyzer(an, **an_kw)
-        cls = ray.remote(num_cpus=num_cpus_per_actor)(PartitionSearcher)
-        self.actors = [
-            cls.remote(partition_dir(root_dir, p), self.n_docs, self.avgdl)
-            for p in range(int(meta["n_partitions"]))
-        ]
+        self.parts = self._open_parts(
+            [partition_dir(root_dir, p) for p in range(int(meta["n_partitions"]))])
         # the index is immutable, so a term's GLOBAL df is a constant:
-        # cache it and pay the pass-1 round trip once per distinct term
+        # cache it and pay the pass-1 exchange once per distinct term
         self._df_cache: dict[str, int] = {}
 
+    def _open_parts(self, part_dirs: list[str]) -> list:
+        return [PartitionSearcher(d, self.n_docs, self.avgdl) for d in part_dirs]
+
+    def _each(self, method: str, *args) -> list:
+        """`method(*args)` on every part, results in part order."""
+        return [getattr(p, method)(*args) for p in self.parts]
+
     def shutdown(self) -> None:
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
-
-    def _analyze(self, query) -> list[str]:
-        keywords = [query] if isinstance(query, str) else query
-        return [t for kw in keywords for t in self.analyzer.analyze(kw)]
+        self.parts = []
 
     def _global_dfs(self, terms: list[str]) -> dict[str, int]:
-        import ray
-
-        missing = [t for t in terms if t not in self._df_cache]
+        dfs = {t: self._df_cache[t] for t in terms if t in self._df_cache}
+        missing = [t for t in terms if t not in dfs]
         if missing:
-            per_part = ray.get([a.local_dfs.remote(missing) for a in self.actors])
+            per_part = self._each("local_dfs", missing)
             for t in missing:
+                dfs[t] = sum(d[t] for d in per_part)
                 if len(self._df_cache) < 1_000_000:
-                    self._df_cache[t] = sum(d[t] for d in per_part)
-                else:
-                    return {
-                        **{x: self._df_cache[x] for x in terms if x in self._df_cache},
-                        **{x: sum(d[x] for d in per_part) for x in missing},
-                    }
-        return {t: self._df_cache[t] for t in terms}
+                    self._df_cache[t] = dfs[t]
+        return dfs
 
-    @staticmethod
-    def _gather_topk(results, k: int | None):
-        docs = np.concatenate([np.asarray(r[0], dtype=np.int64) for r in results])
-        scores = np.concatenate([np.asarray(r[1], dtype=np.float64) for r in results])
-        order = np.lexsort((docs, -scores))
-        if k is not None:
-            order = order[:k]
-        return docs[order], scores[order]
-
-    def search_bm25(
-        self,
-        query,
-        k: int | None = 10,
-        *,
-        prune: bool = True,
-        hydrate: bool = False,
-    ):
-        """Distributed BM25 top-k: df exchange -> partition-local
-        scoring with global idf -> top-k merge.
+    def search_bm25(self, query, k: int | None = 10, *, prune: bool = True,
+                    hydrate: bool = False):
+        """Multi-part BM25 top-k: df exchange -> part-local scoring
+        with global idf -> top-k merge.
 
         ``hydrate=True`` additionally returns the result documents'
-        content as a third element, looked up from each partition's
-        LOCAL docstore inside the same scoring scatter (one round trip;
-        requires `build_partitioned_index(..., write_docstore=True)`).
-        Each partition hydrates its local top-k — a superset of its
-        contribution to the global top-k — so the merge step has every
-        winner's content already in hand."""
-        import ray
+        content as a third element, looked up from each part's LOCAL
+        docstore inside the same scoring call (one round trip; requires
+        `build_partitioned_index(..., write_docstore=True)`). Each part
+        hydrates its local top-k — a superset of its contribution to
+        the global top-k — so the merge has every winner's content
+        already in hand."""
+        return self._bm25_batch([query], k, prune, hydrate)[0]
 
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        toks = self._analyze(query)
-        qtf = Counter(toks)
-        if not qtf:
-            return (*empty, []) if hydrate else empty
-        gdf = self._global_dfs(list(qtf))
-        tw = [
-            (t, qw, bm25_idf(gdf[t], self.n_docs))
-            for t, qw in qtf.items()
-            if gdf[t] > 0
-        ]
+    def search_bm25_many(self, queries, k: int | None = 10, *, prune: bool = True):
+        """Batched multi-part BM25: ONE df exchange for the union of
+        all queries' uncached terms + ONE call per part carrying every
+        query — 2 round trips total for the whole batch instead of 2
+        per query. Returns a list of (doc_ids, scores) in query order,
+        each identical to `search_bm25(q, k)` (tested)."""
+        return self._bm25_batch(queries, k, prune, False)
+
+    def _bm25_batch(self, queries, k, prune: bool, hydrate: bool):
+        toks = [query_tokens(self.analyzer, q) for q in queries]
+        gdf = self._global_dfs(sorted({t for ts in toks for t in ts}))
+        tws = [bm25_query_weights(ts, gdf, self.n_docs) for ts in toks]
+        empty = (np.empty(0, dtype=np.int64), np.empty(0)) + (([],) if hydrate else ())
+        out = [empty] * len(queries)
+        live = [i for i, tw in enumerate(tws) if tw]
+        if live:
+            per_part = self._each("search_bm25_weighted_many",
+                                  [tws[i] for i in live], _part_k(k), prune, hydrate)
+            for j, i in enumerate(live):
+                out[i] = _gather_topk([res[j] for res in per_part], k, hydrate)
+        return out
+
+    def search_tfidf(self, keywords: list[str], top_k: int | None = 10):
+        """Multi-part reference tf·idf (idf = N/df, NO log; the
+        per-segment two-pass of IIM:1351-1449 over parts)."""
+        toks = query_tokens(self.analyzer, keywords)
+        tw = tfidf_query_weights(toks, self._global_dfs(sorted(set(toks))), self.n_docs)
         if not tw:
-            return (*empty, []) if hydrate else empty
-        if hydrate:
-            results = ray.get([
-                a.search_bm25_weighted_hydrated.remote(tw, k, prune)
-                for a in self.actors
-            ])
-            ids, scores = self._gather_topk(
-                [(r[0], r[1]) for r in results], k)
-            content = {}
-            for r_ids, _, r_docs in results:
-                content.update(zip((int(i) for i in r_ids), r_docs))
-            return ids, scores, [content[int(i)] for i in ids]
-        results = ray.get(
-            [a.search_bm25_weighted.remote(tw, k, prune) for a in self.actors]
-        )
-        return self._gather_topk(results, k)
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        return _gather_topk(self._each("search_tfidf_weighted", tw, _part_k(top_k)), top_k)
 
     def _scatter_boolean(self, kind: str, arg) -> np.ndarray:
-        """One scatter, no df pass: boolean matching is partition-local
-        under doc-partitioning. Partitions are doc-disjoint, so a
-        sorted concat of the per-partition results IS the single-index
+        """One call per part, no df pass: boolean matching is
+        part-local under doc-partitioning. Parts are doc-disjoint, so a
+        sorted concat of the per-part results IS the single-index
         answer (postings are doc_id-sorted on both paths; tested)."""
-        import ray
-
-        parts = ray.get([a.search_boolean.remote(kind, arg) for a in self.actors])
+        parts = self._each("search_boolean", kind, arg)
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate([np.asarray(p, dtype=np.int64) for p in parts]))
@@ -366,97 +352,56 @@ class DistributedSearcher:
         return self._scatter_boolean("or", keywords)
 
     def search_phrase(self, phrase: list[str]) -> np.ndarray:
-        """Requires the partitions to be built with positional=True
-        (same contract as the single index)."""
+        """Requires positional parts (as the single index does)."""
         return self._scatter_boolean("phrase", phrase)
 
     def search_prefix(self, prefix: str) -> np.ndarray:
-        """Distributed prefix search: each partition range-scans its
-        own term dictionaries (two binary searches per shard) and ORs
-        its local postings; doc-disjoint partitions concat exactly."""
+        """Each part range-scans its own term dictionaries."""
         return self._scatter_boolean("prefix", prefix)
 
     def search_wildcard(self, pattern: str) -> np.ndarray:
-        """Distributed glob search: each partition expands the pattern
-        against its own dictionaries — a doc matches iff one of ITS
-        terms matches, so matching is partition-local."""
+        """Each part expands the pattern against its own dictionaries:
+        a doc matches iff one of ITS terms matches."""
         return self._scatter_boolean("wildcard", pattern)
 
     def search_not(self, include: list[str], exclude: list[str]) -> np.ndarray:
-        """Distributed AND-NOT: doc-disjoint partitions make exclusion
-        partition-local (a doc's excluded terms live with it)."""
+        """AND-NOT; a doc's excluded terms live in its own part."""
         return self._scatter_boolean("not", (include, exclude))
 
     def search_near(self, phrase: list[str], slop: int = 0) -> np.ndarray:
-        """Distributed ordered-proximity search (slop=0 == phrase)."""
+        """Ordered-proximity search (slop=0 == phrase)."""
         return self._scatter_boolean("near", (phrase, slop))
 
     def search_fuzzy(self, keyword: str, max_edits: int = 1) -> np.ndarray:
-        """Distributed fuzzy search: each partition scans its OWN
-        length-banded dictionaries for terms within `max_edits` — a
-        doc matches iff one of its own terms is close enough, so no
-        cross-partition term exchange is needed."""
+        """Each part scans its OWN length-banded dictionaries, so no
+        cross-part term exchange is needed."""
         return self._scatter_boolean("fuzzy", (keyword, max_edits))
 
-    def search_bm25_many(
-        self,
-        queries,
-        k: int | None = 10,
-        *,
-        prune: bool = True,
-    ):
-        """Batched distributed BM25: ONE df exchange for the union of
-        all queries' uncached terms + ONE scatter per actor carrying
-        every query — 2 round trips total for the whole batch instead
-        of 2 per query. Returns a list of (doc_ids, scores) in query
-        order, each identical to `search_bm25(q, k)` (tested)."""
+
+class DistributedSearcher(PartsSearcher):
+    """`PartsSearcher` over Ray actors: one long-lived
+    `ray.remote(PartitionSearcher)` actor per partition, each opening
+    only its partition; `_each` scatters a call to every actor and
+    gathers the results. All the ranking is the in-process one."""
+
+    def __init__(self, root_dir: str, *, num_cpus_per_actor: float = 1) -> None:
+        self._num_cpus_per_actor = num_cpus_per_actor
+        super().__init__(root_dir)
+
+    def _open_parts(self, part_dirs: list[str]) -> list:
         import ray
 
-        per_query_tf = [Counter(self._analyze(q)) for q in queries]
-        union_terms = sorted({t for qtf in per_query_tf for t in qtf})
-        gdf = self._global_dfs(union_terms) if union_terms else {}
-        tws = [
-            [
-                (t, qw, bm25_idf(gdf[t], self.n_docs))
-                for t, qw in qtf.items()
-                if gdf[t] > 0
-            ]
-            for qtf in per_query_tf
-        ]
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        live = [i for i, tw in enumerate(tws) if tw]
-        out = [empty] * len(queries)
-        if not live:
-            return out
-        batch = [tws[i] for i in live]
-        per_actor = ray.get(
-            [
-                a.search_bm25_weighted_many.remote(batch, k, prune)
-                for a in self.actors
-            ]
-        )
-        for j, i in enumerate(live):
-            out[i] = self._gather_topk([res[j] for res in per_actor], k)
-        return out
+        cls = ray.remote(num_cpus=self._num_cpus_per_actor)(PartitionSearcher)
+        return [cls.remote(d, self.n_docs, self.avgdl) for d in part_dirs]
 
-    def search_tfidf(self, keywords: list[str], top_k: int | None = 10):
-        """Distributed reference tf·idf (idf = N/df, NO log; the
-        per-segment two-pass of IIM:1351-1449 over partitions)."""
+    def _each(self, method: str, *args) -> list:
         import ray
 
-        analyzed = self._analyze(keywords)
-        if not analyzed:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        gdf = self._global_dfs(sorted(set(analyzed)))
-        qvec: dict[str, float] = {}
-        for t in analyzed:  # accumulate per duplicate token, global idf
-            if gdf.get(t, 0) == 0:
-                continue
-            qvec[t] = qvec.get(t, 0.0) + self.n_docs / gdf[t]
-        if not qvec:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        tw = [(t, qw, self.n_docs / gdf[t]) for t, qw in qvec.items()]
-        results = ray.get(
-            [a.search_tfidf_weighted.remote(tw, top_k) for a in self.actors]
-        )
-        return self._gather_topk(results, top_k)
+        return ray.get([getattr(a, method).remote(*args) for a in self.parts])
+
+    def shutdown(self) -> None:
+        import ray
+
+        for a in self.parts:
+            ray.kill(a)
+        self.parts = []

@@ -31,7 +31,7 @@ Per-term state is decoded once per searcher and cached beside the
 postings (both caches hold up to POSTINGS_CACHE_MAX entries): the
 decoded posting arrays, and for BM25 a `_TermState` with the BM25
 denominators of every posting and the term's weight bound from its
-block-max metadata. Both depend on avgdl, which distributed serving
+block-max metadata. Both depend on avgdl, which multi-part serving
 overrides after construction, so a state is keyed by the avgdl it was
 built with and rebuilt when that differs. A warm BM25 query thus only
 decides scan or probe from df and the bounds, computes weights, sums
@@ -79,6 +79,32 @@ def bm25_idf(df: int, n_docs: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
+def query_tokens(analyzer, query: str | list[str]) -> list[str]:
+    """The analyzed tokens of a query string or keyword list, in order."""
+    keywords = [query] if isinstance(query, str) else query
+    return [t for kw in keywords for t in analyzer.analyze(kw)]
+
+
+def bm25_query_weights(tokens: list[str], df, n_docs: int) -> list[tuple[str, float, float]]:
+    """The (term, query weight, idf) triples `search_bm25_weighted`
+    ranks by: one per distinct token in first-occurrence order, its
+    query weight the token's count; a term of df 0 is dropped. `df`
+    maps every token to its df over `n_docs` docs — one index's, or
+    the global df of a multi-part index."""
+    return [(t, qw, bm25_idf(df[t], n_docs)) for t, qw in Counter(tokens).items() if df[t] > 0]
+
+
+def tfidf_query_weights(tokens: list[str], df, n_docs: int) -> list[tuple[str, float, float]]:
+    """The reference tf·idf triples for `search_tfidf_weighted`: idf =
+    N/df with NO log, and the query weight sums N/df once per duplicate
+    token (IIM:1292-1449); a term of df 0 is never accumulated (N/0)."""
+    qvec: dict[str, float] = {}
+    for t in tokens:
+        if df[t] > 0:
+            qvec[t] = qvec.get(t, 0.0) + n_docs / df[t]
+    return [(t, qw, n_docs / df[t]) for t, qw in qvec.items()]
+
+
 def load_tombstones(index_dir: str) -> set[str]:
     p = os.path.join(index_dir, TOMBSTONE_FILE)
     if not os.path.exists(p):
@@ -118,6 +144,30 @@ def _kth(scores: np.ndarray, k: int):
     """The k-th largest score, 1 <= k <= len(scores)."""
     n = len(scores)
     return np.partition(scores, n - k)[n - k]
+
+
+def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int | None):
+    """First k of (score desc, doc_id asc). For 0 < k < n only the
+    docs scoring >= the kth score (every boundary tie included) are
+    sorted; k None, k <= 0 and k >= n sort everything, as slicing
+    the full order does. Scores must not be NaN (`np.partition`
+    ranks NaN above every number); no BM25 or tf-idf score is, as
+    every denominator and norm is positive."""
+    n = len(scores)
+    if k is not None and 0 < k < n:
+        if n >= 64 * k:
+            # k of 4k block maxima are >= their kth largest, so it is
+            # <= the kth score: a cut that shrinks the partition
+            m = n // (4 * k)
+            cut = _kth(scores[: 4 * k * m].reshape(4 * k, m).max(axis=1), k)
+            keep = np.flatnonzero(scores >= cut)
+            doc_ids, scores = doc_ids[keep], scores[keep]
+        keep = np.flatnonzero(scores >= _kth(scores, k))
+        doc_ids, scores = doc_ids[keep], scores[keep]
+    order = np.lexsort((doc_ids, -scores))
+    if k is not None:
+        order = order[:k]
+    return doc_ids[order], scores[order]
 
 
 def _term_weights(term) -> np.ndarray:
@@ -614,7 +664,7 @@ class IndexSearcher:
 
     def _bm25_state(self, term: str, p) -> _TermState:
         """The term's cached `_TermState`, rebuilt when `self.avgdl`
-        differs from the one it was built with (distributed serving
+        differs from the one it was built with (multi-part serving
         overrides avgdl after construction)."""
         st = self._bm25_states.get(term)
         if st is None or st.avgdl != self.avgdl:
@@ -622,9 +672,6 @@ class IndexSearcher:
             if len(self._bm25_states) < POSTINGS_CACHE_MAX:
                 self._bm25_states[term] = st
         return st
-
-    def _bm25_idf(self, dfv: int) -> float:
-        return bm25_idf(dfv, self.n_docs)
 
     def search_bm25(
         self,
@@ -634,8 +681,8 @@ class IndexSearcher:
         prune: bool = True,
     ):
         """BM25 top-k: returns (doc_ids, scores), score desc, ties by
-        doc_id asc. The analyzed query's (term, count, idf) triples go
-        to `search_bm25_weighted`, which ranks them through one path;
+        doc_id asc. The analyzed query's `bm25_query_weights` go to
+        `search_bm25_weighted`, which ranks them through one path;
         `prune=False` forces its exhaustive scan, the bitwise oracle
         of the default (tested).
 
@@ -655,15 +702,8 @@ class IndexSearcher:
         denominators and weight bound are computed once per searcher
         (`_TermState`, cached beside the postings under the same entry
         cap) and rebuilt only when `self.avgdl` changes."""
-        keywords = [query] if isinstance(query, str) else query
-        toks = [t for ks in self._analyze_keywords(keywords) for t in ks]
-        qtf = Counter(toks)
-        tw = []
-        for t, qw in qtf.items():
-            p = self.postings(t)
-            if p is None:
-                continue
-            tw.append((t, qw, self._bm25_idf(len(p[0]))))
+        toks = query_tokens(self.analyzer, query)
+        tw = bm25_query_weights(toks, {t: self.df(t) for t in set(toks)}, self.n_docs)
         return self.search_bm25_weighted(tw, k, prune=prune)
 
     def search_bm25_weighted(
@@ -674,11 +714,11 @@ class IndexSearcher:
         prune: bool = True,
     ):
         """BM25 with EXTERNAL (term, query_weight, idf) triples — the
-        partition-local scoring pass of distributed scatter-gather
-        serving (state/distributed.py), where idf comes from GLOBAL df
-        gathered across partitions (pass 1) rather than this index's
-        local df; `self.avgdl`/`self.n_docs` are likewise set to the
-        global stats by the partition actor.
+        part-local scoring pass of multi-part serving
+        (state/distributed.py), where idf comes from GLOBAL df gathered
+        across parts (pass 1) rather than this index's local df;
+        `self.avgdl`/`self.n_docs` are likewise set to the global stats
+        by a part (`PartitionSearcher`).
 
         One ranked path, whose work is picked per query from the cached
         term state, with every result bitwise equal to the scan:
@@ -758,7 +798,7 @@ class IndexSearcher:
         uniq, scores = self._accumulate(docs, np.concatenate([_term_weights(t) for t in terms]))
         self.counters["postings_scored"] += len(docs)
         self.counters["candidates_admitted"] += len(uniq)
-        return self._topk(uniq, scores, k)
+        return _topk(uniq, scores, k)
 
     def _probe_plan(self, terms, k: int):
         """(h, weights of h) when the other terms can be probed with h's
@@ -816,61 +856,27 @@ class IndexSearcher:
                 blk = sel // BLOCK_SIZE
                 touched = len(blk) - int(np.count_nonzero(blk[1:] == blk[:-1]))
                 cnt["blocks_skipped"] += st.blocks - touched
-        return self._topk(cands, scores, k)
-
-    @staticmethod
-    def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int | None):
-        """First k of (score desc, doc_id asc). For 0 < k < n only the
-        docs scoring >= the kth score (every boundary tie included) are
-        sorted; k None, k <= 0 and k >= n sort everything, as slicing
-        the full order does. Scores must not be NaN (`np.partition`
-        ranks NaN above every number); no BM25 or tf-idf score is, as
-        every denominator and norm is positive."""
-        n = len(scores)
-        if k is not None and 0 < k < n:
-            if n >= 64 * k:
-                # k of 4k block maxima are >= their kth largest, so it is
-                # <= the kth score: a cut that shrinks the partition
-                m = n // (4 * k)
-                cut = _kth(scores[: 4 * k * m].reshape(4 * k, m).max(axis=1), k)
-                keep = np.flatnonzero(scores >= cut)
-                doc_ids, scores = doc_ids[keep], scores[keep]
-            keep = np.flatnonzero(scores >= _kth(scores, k))
-            doc_ids, scores = doc_ids[keep], scores[keep]
-        order = np.lexsort((doc_ids, -scores))
-        if k is not None:
-            order = order[:k]
-        return doc_ids[order], scores[order]
+        return _topk(cands, scores, k)
 
     def search_tfidf(self, keywords: list[str], top_k: int | None = 10):
         """Reference tf·idf ranking (IIM:1292-1449): idf = N/df with NO
         log; query vector accumulates per duplicate analyzed token;
         score = dot(doc,query) / sqrt(sum over query terms of
         tfidf_doc^2). Returns (doc_ids, scores) desc, ties by doc_id."""
-        analyzed = [t for ks in self._analyze_keywords(keywords) for t in ks]
-        if not analyzed:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        qvec: dict[str, float] = {}
-        for t in analyzed:
-            dfv = self.df(t)
-            if dfv == 0:
-                continue  # reference: N/0 -> Inf but never accumulated
-            qvec[t] = qvec.get(t, 0.0) + self.n_docs / dfv
-        if not qvec:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        tw = [(t, qw, self.n_docs / self.df(t)) for t, qw in qvec.items()]
+        toks = query_tokens(self.analyzer, keywords)
+        tw = tfidf_query_weights(toks, {t: self.df(t) for t in set(toks)}, self.n_docs)
         return self.search_tfidf_weighted(tw, top_k)
 
     def search_tfidf_weighted(
         self, term_weights: list[tuple[str, float, float]], top_k: int | None = 10
     ):
         """tf·idf with EXTERNAL (term, query_weight, idf) triples — the
-        partition-local pass-2 of distributed serving, mirroring the
+        pass 2 that a part runs in multi-part serving, mirroring the
         reference's per-segment two-pass (`IIM:1351-1449`): pass 1
-        gathers global df/N (the coordinator builds qw = Σ N/df per
-        duplicate token and idf = N/df), pass 2 scores locally. The
+        gathers global df/N (`tfidf_query_weights` builds qw = Σ N/df
+        per duplicate token and idf = N/df), pass 2 scores locally. The
         score normalization sums tfidf_doc² over query terms per DOC,
-        so it is complete within the doc's partition."""
+        so it is complete within the doc's part."""
         docs_all, dots, lens = [], [], []
         for t, qw, idf in term_weights:
             p = self.postings(t)
@@ -886,7 +892,7 @@ class IndexSearcher:
         uniq, dot = self._accumulate(docs, np.concatenate(dots))
         _, ln = self._accumulate(docs, np.concatenate(lens))
         scores = dot / np.sqrt(ln)
-        return self._topk(uniq, scores, top_k)
+        return _topk(uniq, scores, top_k)
 
     # -- deletion -------------------------------------------------------
 

@@ -25,7 +25,7 @@ import pytest
 from mini_search_engine_ray.pipelines.build import build_index
 from mini_search_engine_ray.sources.corpus import synth_corpus
 from mini_search_engine_ray.stages.shards import list_shards, open_shard
-from mini_search_engine_ray.state.searcher import IndexSearcher, _bm25_weight
+from mini_search_engine_ray.state.searcher import IndexSearcher, _bm25_weight, _topk
 
 VOCAB = ["search", "shard", "stream", "reader", "writer", "index", "token",
          "merge", "parse", "request", "handler", "batch", "information",
@@ -226,13 +226,13 @@ def test_topk_matches_full_lexsort(seed):
         scores = rng.integers(0, n_values, size=n) / 4.0
         ks = [0, -3, 1, 10, 50, n - 1, n, n + 5, None] + rng.integers(2, n - 1, size=6).tolist()
         for k in ks:
-            got = IndexSearcher._topk(ids, scores, k)
+            got = _topk(ids, scores, k)
             want = _full_topk(ids, scores, k)
             assert got[0].tolist() == want[0].tolist(), (n, k)
             assert got[1].tolist() == want[1].tolist(), (n, k)
     empty_ids, empty_scores = np.empty(0, dtype=np.int64), np.empty(0)
     for k in (0, 1, 5, None):
-        got_ids, got_scores = IndexSearcher._topk(empty_ids, empty_scores, k)
+        got_ids, got_scores = _topk(empty_ids, empty_scores, k)
         assert len(got_ids) == len(got_scores) == 0
 
 

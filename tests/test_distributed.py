@@ -1,8 +1,12 @@
-"""Distributed scatter-gather query serving: bitwise parity with the
-single-index searcher, partition-count invariance, global-stats
-correctness (state/distributed.py)."""
+"""Multi-part query serving: bitwise parity with the single-index
+searcher, partition-count invariance, global-stats correctness
+(state/distributed.py). Every parity test runs the in-process ranker
+(`PartsSearcher`) and its Ray transport (`DistributedSearcher`)."""
 
 from __future__ import annotations
+
+import contextlib
+import itertools
 
 import numpy as np
 import pyarrow as pa
@@ -11,12 +15,30 @@ import pytest
 from mini_search_engine_ray.pipelines.build import build_index
 from mini_search_engine_ray.state.distributed import (
     DistributedSearcher,
+    PartsSearcher,
     build_partitioned_index,
     load_root_meta,
 )
 from mini_search_engine_ray.state.searcher import IndexSearcher
 
 N_DOCS = 400
+
+# every multi-part searcher; fractional actor CPUs: P actors must
+# co-schedule inside the 4-CPU test session without starving Ray Data
+# tasks
+SEARCHERS = {
+    "parts": PartsSearcher,
+    "actors": lambda root: DistributedSearcher(root, num_cpus_per_actor=0.25),
+}
+
+
+@contextlib.contextmanager
+def _opened(kind: str, root):
+    s = SEARCHERS[kind](str(root))
+    try:
+        yield s
+    finally:
+        s.shutdown()
 
 
 def _corpus_table(n=N_DOCS, seed=21) -> pa.Table:
@@ -84,33 +106,28 @@ def test_root_meta_global_stats(indexes):
 @pytest.mark.parametrize("P", [1, 4])
 def test_bm25_bitwise_parity(indexes, P):
     single = IndexSearcher(str(indexes / "single"))
-    # fractional actor CPUs: P actors must co-schedule inside the
-    # 4-CPU test session without starving Ray Data tasks
-    dist = DistributedSearcher(str(indexes / f"dist{P}"), num_cpus_per_actor=0.25)
-    try:
-        for q in QUERIES:
-            for k, prune in [(10, True), (10, False), (None, False), (3, True),
-                             (1, True), (0, True), (None, True)]:
-                ids_s, sc_s = single.search_bm25(q, k, prune=prune)
-                ids_d, sc_d = dist.search_bm25(q, k, prune=prune)
-                assert ids_d.tolist() == ids_s.tolist(), (q, k, prune)
-                assert sc_d.tolist() == sc_s.tolist(), (q, k, prune)  # bitwise
-    finally:
-        dist.shutdown()
+    for kind in SEARCHERS:
+        with _opened(kind, indexes / f"dist{P}") as dist:
+            for q in QUERIES:
+                for k, prune in [(10, True), (10, False), (None, False), (3, True),
+                                 (1, True), (0, True), (None, True), (-3, True),
+                                 (-3, False)]:
+                    ids_s, sc_s = single.search_bm25(q, k, prune=prune)
+                    ids_d, sc_d = dist.search_bm25(q, k, prune=prune)
+                    assert ids_d.tolist() == ids_s.tolist(), (kind, q, k, prune)
+                    assert sc_d.tolist() == sc_s.tolist(), (kind, q, k, prune)  # bitwise
 
 
 def test_tfidf_bitwise_parity(indexes):
     single = IndexSearcher(str(indexes / "single"))
-    dist = DistributedSearcher(str(indexes / "dist4"), num_cpus_per_actor=0.25)
-    try:
-        for q in QUERIES:
-            for k in (10, None):
-                ids_s, sc_s = single.search_tfidf(q, k)
-                ids_d, sc_d = dist.search_tfidf(q, k)
-                assert ids_d.tolist() == ids_s.tolist(), (q, k)
-                assert sc_d.tolist() == sc_s.tolist(), (q, k)
-    finally:
-        dist.shutdown()
+    for kind in SEARCHERS:
+        with _opened(kind, indexes / "dist4") as dist:
+            for q in QUERIES:
+                for k in (10, None, -3):
+                    ids_s, sc_s = single.search_tfidf(q, k)
+                    ids_d, sc_d = dist.search_tfidf(q, k)
+                    assert ids_d.tolist() == ids_s.tolist(), (kind, q, k)
+                    assert sc_d.tolist() == sc_s.tolist(), (kind, q, k)
 
 
 def test_bm25_batched_parity(indexes):
@@ -120,32 +137,30 @@ def test_bm25_batched_parity(indexes):
     transport, not the math. Includes empty/unknown-term queries, which
     must come back as empty results at the right batch positions."""
     single = IndexSearcher(str(indexes / "single"))
-    dist = DistributedSearcher(str(indexes / "dist4"), num_cpus_per_actor=0.25)
-    try:
-        batch = QUERIES + [[], ["nosuchterm"]]
-        many = dist.search_bm25_many(batch, 10)
-        assert len(many) == len(batch)
-        for q, (ids_m, sc_m) in zip(batch, many):
-            ids_s, sc_s = single.search_bm25(q, 10)
-            assert ids_m.tolist() == ids_s.tolist(), q
-            assert sc_m.tolist() == sc_s.tolist(), q  # bitwise
-    finally:
-        dist.shutdown()
+    batch = QUERIES + [[], ["nosuchterm"]]
+    for kind in SEARCHERS:
+        with _opened(kind, indexes / "dist4") as dist:
+            for k in (10, -3):
+                many = dist.search_bm25_many(batch, k)
+                assert len(many) == len(batch)
+                for q, (ids_m, sc_m) in zip(batch, many):
+                    ids_s, sc_s = single.search_bm25(q, k)
+                    assert ids_m.tolist() == ids_s.tolist(), (kind, q, k)
+                    assert sc_m.tolist() == sc_s.tolist(), (kind, q, k)  # bitwise
 
 
 def test_partition_count_invariance(indexes):
     # sequential create/use/shutdown: concurrent 1-CPU actor fleets can
     # exceed the 4-CPU test session and deadlock actor scheduling
     res = {}
-    for P in (1, 4):
-        d = DistributedSearcher(str(indexes / f"dist{P}"), num_cpus_per_actor=0.25)
-        try:
-            res[P] = [d.search_bm25(q, 10) for q in QUERIES]
-        finally:
-            d.shutdown()
-    for a, b in zip(res[1], res[4]):
-        assert a[0].tolist() == b[0].tolist()
-        assert a[1].tolist() == b[1].tolist()
+    for kind in SEARCHERS:
+        for P in (1, 4):
+            with _opened(kind, indexes / f"dist{P}") as d:
+                res[kind, P] = [d.search_bm25(q, 10) for q in QUERIES]
+    for key in res:
+        for a, b in zip(res["actors", 1], res[key]):
+            assert a[0].tolist() == b[0].tolist(), key
+            assert a[1].tolist() == b[1].tolist(), key
 
 
 def test_boolean_scatter_parity(indexes):
@@ -153,30 +168,28 @@ def test_boolean_scatter_parity(indexes):
     scatter, no df exchange — sorted concat of the doc-disjoint
     partition answers equals the single positional index exactly."""
     single = IndexSearcher(str(indexes / "single_pos"))
-    dist = DistributedSearcher(str(indexes / "dist_pos"), num_cpus_per_actor=0.25)
-    try:
-        for kw in ["spark", "table", "nosuchterm"]:
-            assert dist.search_keyword(kw).tolist() == single.search_keyword(kw).tolist()
-        for q in QUERIES:
-            assert dist.search_and(q).tolist() == single.search_and(q).tolist(), q
-            assert dist.search_or(q).tolist() == single.search_or(q).tolist(), q
-        for ph in [["spark", "window"], ["spark", "window", "merge"],
-                   ["window", "spark"], ["nosuchterm", "spark"]]:
-            assert dist.search_phrase(ph).tolist() == single.search_phrase(ph).tolist(), ph
-        for pref in ["s", "sc", "nosuch", "table"]:
-            assert dist.search_prefix(pref).tolist() == single.search_prefix(pref).tolist(), pref
-        for inc, exc in [(["spark"], ["window"]), (["spark", "table"], ["merge", "row"]),
-                         (["spark"], []), (["nosuchterm"], ["spark"])]:
-            assert dist.search_not(inc, exc).tolist() == single.search_not(inc, exc).tolist(), (inc, exc)
-        for ph, slop in [(["spark", "window"], 0), (["spark", "window"], 2),
-                         (["spark", "merge"], 3)]:
-            assert dist.search_near(ph, slop).tolist() == single.search_near(ph, slop).tolist(), (ph, slop)
-        for kw, e in [("spork", 1), ("tible", 2), ("nosuchterm", 1)]:
-            assert dist.search_fuzzy(kw, e).tolist() == single.search_fuzzy(kw, e).tolist(), (kw, e)
-        for pat in ["s*k", "t?ble", "*dow", "nosuch*"]:
-            assert dist.search_wildcard(pat).tolist() == single.search_wildcard(pat).tolist(), pat
-    finally:
-        dist.shutdown()
+    for kind in SEARCHERS:
+        with _opened(kind, indexes / "dist_pos") as dist:
+            for kw in ["spark", "table", "nosuchterm"]:
+                assert dist.search_keyword(kw).tolist() == single.search_keyword(kw).tolist()
+            for q in QUERIES:
+                assert dist.search_and(q).tolist() == single.search_and(q).tolist(), q
+                assert dist.search_or(q).tolist() == single.search_or(q).tolist(), q
+            for ph in [["spark", "window"], ["spark", "window", "merge"],
+                       ["window", "spark"], ["nosuchterm", "spark"]]:
+                assert dist.search_phrase(ph).tolist() == single.search_phrase(ph).tolist(), ph
+            for pref in ["s", "sc", "nosuch", "table"]:
+                assert dist.search_prefix(pref).tolist() == single.search_prefix(pref).tolist(), pref
+            for inc, exc in [(["spark"], ["window"]), (["spark", "table"], ["merge", "row"]),
+                             (["spark"], []), (["nosuchterm"], ["spark"])]:
+                assert dist.search_not(inc, exc).tolist() == single.search_not(inc, exc).tolist(), (inc, exc)
+            for ph, slop in [(["spark", "window"], 0), (["spark", "window"], 2),
+                             (["spark", "merge"], 3)]:
+                assert dist.search_near(ph, slop).tolist() == single.search_near(ph, slop).tolist(), (ph, slop)
+            for kw, e in [("spork", 1), ("tible", 2), ("nosuchterm", 1)]:
+                assert dist.search_fuzzy(kw, e).tolist() == single.search_fuzzy(kw, e).tolist(), (kw, e)
+            for pat in ["s*k", "t?ble", "*dow", "nosuch*"]:
+                assert dist.search_wildcard(pat).tolist() == single.search_wildcard(pat).tolist(), pat
 
 
 def test_local_df_differs_but_global_scores_match(indexes):
@@ -212,23 +225,22 @@ def test_hydrated_results_parity(ray_session, tmp_path):
         write_docstore=True,
     )
     single = IndexSearcher(str(tmp_path / "single"))
-    dist = DistributedSearcher(str(tmp_path / "dist"), num_cpus_per_actor=0.25)
-    try:
-        for q in (["spark", "window"], ["table", "scan"], ["nosuchterm"]):
-            ids_s, sc_s = single.search_bm25(q, 7)
-            ids_d, sc_d, docs_d = dist.search_bm25(q, 7, hydrate=True)
-            assert ids_d.tolist() == ids_s.tolist()
-            assert sc_d.tolist() == sc_s.tolist()
-            # single-index J4 lookup as the hydration oracle
-            tbl = single.get_documents(ids_s) if len(ids_s) else None
-            expected = (
-                {} if tbl is None
-                else dict(zip(tbl["doc_id"].to_pylist(),
-                              tbl["content"].to_pylist()))
-            )
-            assert docs_d == [expected[int(i)] for i in ids_d]
-            # the content matches the source corpus verbatim
-            for i, c in zip(ids_d, docs_d):
-                assert c == t["content"][int(i)].as_py()
-    finally:
-        dist.shutdown()
+    for kind in SEARCHERS:
+        with _opened(kind, tmp_path / "dist") as dist:
+            for q, k in itertools.product(
+                    (["spark", "window"], ["table", "scan"], ["nosuchterm"]), (7, None, -3)):
+                ids_s, sc_s = single.search_bm25(q, k)
+                ids_d, sc_d, docs_d = dist.search_bm25(q, k, hydrate=True)
+                assert ids_d.tolist() == ids_s.tolist(), (kind, q, k)
+                assert sc_d.tolist() == sc_s.tolist(), (kind, q, k)
+                # single-index J4 lookup as the hydration oracle
+                tbl = single.get_documents(ids_s) if len(ids_s) else None
+                expected = (
+                    {} if tbl is None
+                    else dict(zip(tbl["doc_id"].to_pylist(),
+                                  tbl["content"].to_pylist()))
+                )
+                assert docs_d == [expected[int(i)] for i in ids_d]
+                # the content matches the source corpus verbatim
+                for i, c in zip(ids_d, docs_d):
+                    assert c == t["content"][int(i)].as_py()

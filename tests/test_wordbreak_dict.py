@@ -128,3 +128,43 @@ def test_task_kernel_cache_keeps_dictionaries_apart(tmp_path, monkeypatch):
     assert len(ingest._TE_CACHE) == 2
     a.write_text("hotdog 100\ndog 100\nfish 100\nextra 1\n")
     assert terms(a) == ["dog", "fish", "hotdog"]
+
+
+def test_rebuild_with_another_dictionary(ray_session, tmp_path, monkeypatch):
+    """The dictionary is part of a dictionary analyzer's build
+    fingerprint: rebuilding into the same directory with another
+    dictionary rebuilds (its meta and terms are the new dictionary's),
+    while a repeat with the same dictionary is skipped as complete."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from mini_search_engine_ray.pipelines import build
+    from mini_search_engine_ray.state.searcher import IndexSearcher
+
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("hot 100\ndog 100\n")
+    b.write_text("hotdog 100\n")
+    corpus = pa.table({"doc_id": pa.array([0], pa.int64()),
+                       "content": pa.array(["hotdog"], pa.large_string())})
+    idx = str(tmp_path / "idx")
+
+    def run(path):
+        return build.build_index(
+            rd.from_arrow(corpus), idx, analyzer="wordbreak_nostem",
+            num_buckets=1, n_docs=1, write_docstore=False,
+            wordbreak_dict_path=str(path))
+
+    run(a)
+    assert IndexSearcher(idx).df("hot") == 1
+    meta = run(b)
+    assert meta["wordbreak_dict_path"] == str(b)
+    assert meta["shards_skipped"] == 0
+    s = IndexSearcher(idx)
+    assert (s.df("hotdog"), s.df("hot")) == (1, 0)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a completed build was redone")
+
+    monkeypatch.setattr(build, "write_exchange", fail)
+    again = run(b)
+    assert (again["shards_skipped"], again["fingerprint"]) == (1, meta["fingerprint"])
