@@ -29,14 +29,17 @@ Query surface (parity with `InvertedIndexManager`):
 
 Per-term state is decoded once per searcher and cached beside the
 postings (both caches hold up to POSTINGS_CACHE_MAX entries): the
-decoded posting arrays, and for BM25 a `_TermState` with the BM25
-denominators of every posting and the term's weight bound from its
-block-max metadata. Both depend on avgdl, which multi-part serving
-overrides after construction, so a state is keyed by the avgdl it was
-built with and rebuilt when that differs. A warm BM25 query thus only
-decides scan or probe from df and the bounds, computes weights, sums
-them per doc and selects its top-k, and `_topk` sorts only the docs at
-or above the kth score.
+decoded posting arrays, and for BM25 a `_TermState` with the term's
+weight bound from its block-max metadata and the BM25 weight of every
+posting at the last query scale (qw, idf) it served. Both depend on
+avgdl, which multi-part serving overrides after construction, so a
+state is keyed by the avgdl it was built with and rebuilt when that
+differs. Cached arrays are read-only, as every later query shares
+them. A warm BM25 query whose scale repeats (qw is almost always 1,
+idf is fixed per index or per global df) thus only decides scan or
+probe from df and the bounds, gathers and sums cached weights per doc
+and selects its top-k, and `_topk` sorts only the docs at or above
+the kth score.
 """
 
 from __future__ import annotations
@@ -170,37 +173,57 @@ def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int | None):
     return doc_ids[order], scores[order]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: a cached array is shared by every later
+    query, so a caller's in-place write must raise, not corrupt them."""
+    a.flags.writeable = False
+    return a
+
+
 def _term_weights(term) -> np.ndarray:
     """BM25 weights of every posting of a (qw, idf, postings, state)
     query term."""
     qw, idf, p, st = term
-    return _bm25_weight(p[1], st.den, idf, qw)
+    return st.weights(p, qw, idf)
 
 
 class _TermState:
     """What BM25 needs of one term besides its postings, computed once
-    per searcher: the per-posting denominator `_bm25_den`, the number
-    of posting blocks (0 when the term spans several salted sub-shards,
-    whose merged postings do not follow per-sub-shard block
-    boundaries), and `ub_unit`, the largest `tf*(K1+1)/den` over the
-    block-max metadata (over the postings themselves when there is
-    none): a query weight `qw*idf` times it bounds every weight of the
-    term. Both depend on `avgdl`, kept here so the searcher can rebuild
-    the state when its avgdl is overridden."""
+    per searcher: the number of posting blocks (0 when the term spans
+    several salted sub-shards, whose merged postings do not follow
+    per-sub-shard block boundaries), `ub_unit`, the largest
+    `tf*(K1+1)/den` over the block-max metadata (over the postings
+    themselves when there is none), so that `qw*idf*ub_unit` bounds
+    every weight of the term, and `scaled`, the last query scale
+    `(qw, idf)` served with the weight of every posting at it. All
+    depend on `avgdl`, kept here so the searcher can rebuild the state
+    when its avgdl is overridden."""
 
-    __slots__ = ("avgdl", "den", "blocks", "ub_unit")
+    __slots__ = ("avgdl", "blocks", "ub_unit", "scaled")
 
     def __init__(self, p, block_meta, avgdl: float) -> None:
         self.avgdl = avgdl
-        self.den = _bm25_den(p[1], p[2], avgdl)
+        self.scaled = None, None
         if block_meta is None:
             self.blocks = 0
-            tf, den = p[1], self.den
+            tf, den = p[1], _bm25_den(p[1], p[2], avgdl)
         else:
             blk_last, tf, blk_min_dl = block_meta
             self.blocks = len(blk_last)
             den = _bm25_den(tf, blk_min_dl, avgdl)
         self.ub_unit = float((tf * (K1 + 1.0) / den).max(initial=0.0))
+
+    def weights(self, p, qw: float, idf: float) -> np.ndarray:
+        """The (read-only) BM25 weight of every posting of `p` at query
+        scale (qw, idf), recomputed only when the scale differs from
+        the last one served. Scale and weights are swapped as one
+        tuple, so a reader never pairs one scale with another's
+        weights."""
+        scale, w = self.scaled
+        if scale != (qw, idf):
+            w = _frozen(_bm25_weight(p[1], _bm25_den(p[1], p[2], self.avgdl), idf, qw))
+            self.scaled = (qw, idf), w
+        return w
 
 
 class _TermDict:
@@ -318,7 +341,8 @@ class IndexSearcher:
 
     def postings(self, term: str, *, positions: bool = False):
         """(doc_ids, tfs, doc_lens[, positions]) merged across salted
-        sub-shards, ascending by doc_id; None if absent/tombstoned."""
+        sub-shards, ascending by doc_id; None if absent/tombstoned. The
+        arrays are cached and shared by later queries, so read-only."""
         if term in self.tombstones:
             return None
         key = term if not positions else term + "\x00pos"
@@ -343,6 +367,8 @@ class IndexSearcher:
                     allpos = [pl for x in parts for pl in x["positions"]]
                     p["positions"] = [allpos[i] for i in order]
             res = (p["doc_ids"], p["tfs"], p["doc_lens"], p.get("positions"))
+            for a in (*res[:3], *(res[3] or ())):
+                _frozen(a)
         if len(self._postings_cache) < POSTINGS_CACHE_MAX:
             self._postings_cache[key] = res
         return res
@@ -698,10 +724,12 @@ class IndexSearcher:
                                0, since every path sums in term order
         so `postings_scored / queries` is the serving work per query.
 
-        A warm query does only query-dependent work: each term's BM25
-        denominators and weight bound are computed once per searcher
-        (`_TermState`, cached beside the postings under the same entry
-        cap) and rebuilt only when `self.avgdl` changes."""
+        A warm query does only query-dependent work: each term's weight
+        bound is computed once per searcher and its posting weights once
+        per query scale (qw, idf) (`_TermState`, cached beside the
+        postings under the same entry cap, keeping the weights of the
+        last scale served), and both are rebuilt when `self.avgdl`
+        changes."""
         toks = query_tokens(self.analyzer, query)
         tw = bm25_query_weights(toks, {t: self.df(t) for t in set(toks)}, self.n_docs)
         return self.search_bm25_weighted(tw, k, prune=prune)
@@ -800,6 +828,19 @@ class IndexSearcher:
         self.counters["candidates_admitted"] += len(uniq)
         return _topk(uniq, scores, k)
 
+    @staticmethod
+    def _df_scans(dfs: list[int], k: int) -> bool:
+        """True when df alone shows that `_probe_plan` rejects whichever
+        term h has the highest bound: no term holds k docs, or the cost
+        rule fails for every h. With lo the smallest df and j =
+        floor(log2(lo + 1)), each log2(df + 1) is >= j, so df_h *
+        sum_others log2(df+1) >= lo * j * (n - 1), while sum_others df
+        <= sum(dfs) - lo. These integers are no larger than the float
+        rule's own operands, so it rejects only queries that rule
+        rejects."""
+        lo = min(dfs)
+        return max(dfs) < k or lo * ((lo + 1).bit_length() - 1) * (len(dfs) - 1) >= sum(dfs) - lo
+
     def _probe_plan(self, terms, k: int):
         """(h, weights of h) when the other terms can be probed with h's
         docs as the only candidates and probing them is cheaper than
@@ -811,12 +852,16 @@ class IndexSearcher:
         2020). When the other terms' bound sum stays below
         `_theta_slack(theta)`, a doc without h scores below the kth, so
         h's docs are the candidates. Probing costs one binary search per
-        candidate per other term; scanning costs their postings. The
-        cost rule needs df alone, so it runs first, and a dense query
-        goes to the scan before any weight or partition is computed:
-            df_h * sum_others log2(df+1) < sum_others df."""
-        ubs = [qw * idf * st.ub_unit for qw, idf, _, st in terms]
+        candidate per other term; scanning costs their postings:
+            df_h * sum_others log2(df+1) < sum_others df.
+        The cost rule needs df alone, so it runs first: `_df_scans`
+        sends a query that no choice of h could probe to the scan before
+        any bound is computed, and the rule for h itself runs before any
+        weight or partition is."""
         dfs = [len(p[0]) for _, _, p, _ in terms]
+        if self._df_scans(dfs, k):
+            return None
+        ubs = [qw * idf * st.ub_unit for qw, idf, _, st in terms]
         h = ubs.index(max(ubs))
         others = [i for i in range(len(terms)) if i != h]
         if (dfs[h] < k or min(ubs) < 0.0
@@ -840,17 +885,17 @@ class IndexSearcher:
         scores = np.zeros(len(cands))
         cnt["postings_scored"] += len(cands)
         cnt["candidates_admitted"] += len(cands)
-        for i, (qw, idf, p, st) in enumerate(terms):
+        for i, term in enumerate(terms):
             if i == h:
                 scores += w_h
                 continue
-            docs = p[0]
+            docs, st = term[2][0], term[3]
             if not len(docs):
                 continue
             pos = np.minimum(np.searchsorted(docs, cands), len(docs) - 1)
             hit = docs[pos] == cands
             sel = pos[hit]
-            scores[hit] += _bm25_weight(p[1][sel], st.den[sel], idf, qw)
+            scores[hit] += _term_weights(term)[sel]
             cnt["postings_scored"] += len(sel)
             if st.blocks:
                 blk = sel // BLOCK_SIZE

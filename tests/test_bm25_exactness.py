@@ -12,9 +12,11 @@ this; 3000 docs with a repetitive vocabulary can.
 
 Also pinned here: the choice between scan and probe (a dense query
 scans, a rare term lets a common one be probed, a near-tie at the
-cutoff stays exact), k at every edge, the partition-based `_topk`
-against a full lexsort, the per-term BM25 state cache under an avgdl
-override, and the work counters every ranked query tallies.
+cutoff stays exact, the df-only scan rule changes no choice), k at
+every edge, the partition-based `_topk` against a full lexsort, the
+per-term BM25 weight cache under a change of query scale and an avgdl
+override, read-only cached arrays, and the work counters every ranked
+query tallies.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ import pytest
 from mini_search_engine_ray.pipelines.build import build_index
 from mini_search_engine_ray.sources.corpus import synth_corpus
 from mini_search_engine_ray.stages.shards import list_shards, open_shard
-from mini_search_engine_ray.state.searcher import IndexSearcher, _bm25_weight, _topk
+from mini_search_engine_ray.state.searcher import (
+    IndexSearcher,
+    _bm25_den,
+    _bm25_weight,
+    _topk,
+    bm25_idf,
+)
 
 VOCAB = ["search", "shard", "stream", "reader", "writer", "index", "token",
          "merge", "parse", "request", "handler", "batch", "information",
@@ -150,6 +158,45 @@ def test_dense_query_scans(big_searcher):
     assert s.counters["blocks_skipped"] == 0
 
 
+def _terms_by_df(s) -> dict[str, int]:
+    """Every indexed term of `s` with its df (a salted index splits a
+    term's shard rows, so df comes from the merged postings)."""
+    terms = {t for sid in list_shards(s.index_dir)
+             for t in open_shard(s.index_dir, sid)["term"].to_pylist()}
+    return {t: s.df(t) for t in sorted(terms)}
+
+
+@pytest.mark.parametrize("which", ["big_searcher", "salted_searcher"])
+def test_df_rule_keeps_every_scan_or_probe_choice(which, request):
+    """`_df_scans` sends a query to the scan from df alone, ahead of the
+    bounds; it may only reject what the bound rule rejects. Over 2,400
+    seeded queries mixing rare, middling and common terms, a searcher
+    with it tallies the same counters after every query, and returns
+    the same results, as one that runs the bound rule alone."""
+    d = request.getfixturevalue(which).index_dir
+    s, ref = IndexSearcher(d), IndexSearcher(d)
+    ref._df_scans = lambda dfs, k: False
+    fired, probed = [], []
+    s._df_scans = lambda dfs, k: fired.append(IndexSearcher._df_scans(dfs, k)) or fired[-1]
+    s._bm25_probe = lambda *a: probed.append(1) or IndexSearcher._bm25_probe(s, *a)
+    by_df = _terms_by_df(s)
+    bands = [sorted(t for t, df in by_df.items() if lo <= df < hi)
+             for lo, hi in ((1, 10), (10, 60), (60, 600), (600, 10**9))]
+    assert all(bands)
+    rng = np.random.default_rng(43)
+    for i in range(2400):
+        n = int(rng.integers(2, 6))
+        terms = list(dict.fromkeys(str(rng.choice(bands[int(b)]))
+                                   for b in rng.integers(0, 4, size=n)))
+        tw = [(t, 1 + int(rng.integers(0, 4) == 0), bm25_idf(by_df[t], s.n_docs)) for t in terms]
+        k = int(rng.choice([1, 3, 10, 50]))
+        _assert_same(s.search_bm25_weighted(tw, k), ref.search_bm25_weighted(tw, k), (tw, k))
+        assert s.counters == ref.counters, (i, tw, k)
+    # both outcomes of the df rule, and probes among what it lets through
+    assert sum(fired) > 100 and len(fired) - sum(fired) > 100
+    assert len(probed) > 100
+
+
 def _nearest_qw(tf, den, target: float, qw: float) -> float | None:
     """A query weight within a few ulps of `qw` that makes the weight
     of (tf, den) exactly `target`, or None."""
@@ -177,10 +224,11 @@ def test_near_tie_at_the_cutoff_stays_exact(salted_searcher):
     common = "inform"
     p_c = s.postings(common)
     st_c = s._bm25_state(common, p_c)
-    j = int(np.argmax(_bm25_weight(p_c[1], st_c.den, 1.0, 1.0)))
+    den_c = _bm25_den(p_c[1], p_c[2], s.avgdl)
+    j = int(np.argmax(_bm25_weight(p_c[1], den_c, 1.0, 1.0)))
     d = int(p_c[0][j])
     qws = [q for q in 1.0 + np.arange(1, 400) / 397.0
-           if q * st_c.ub_unit < _bm25_weight(p_c[1][j], st_c.den[j], 1.0, q)][:2]
+           if q * st_c.ub_unit < _bm25_weight(p_c[1][j], den_c[j], 1.0, q)][:2]
     assert qws
     rares = sorted(t for sid in list_shards(s.index_dir)
                    for t, df in zip(*open_shard(s.index_dir, sid).select(["term", "df"])
@@ -190,15 +238,15 @@ def test_near_tie_at_the_cutoff_stays_exact(salted_searcher):
         p_r = s.postings(rare)
         if ties >= 6 or d in p_r[0]:
             continue
-        st_r = s._bm25_state(rare, p_r)
-        order = np.lexsort((p_r[0], -_bm25_weight(p_r[1], st_r.den, 1.0, 1.0)))
+        den_r = _bm25_den(p_r[1], p_r[2], s.avgdl)
+        order = np.lexsort((p_r[0], -_bm25_weight(p_r[1], den_r, 1.0, 1.0)))
         for k, kd in enumerate(order.tolist(), start=1):
             if p_r[0][kd] < d or p_r[0][kd] in p_c[0]:
                 continue
             for qc in qws:
-                w_d = _bm25_weight(p_c[1][j], st_c.den[j], 1.0, qc)
-                qr = _nearest_qw(p_r[1][kd], st_r.den[kd], w_d,
-                                 w_d / _bm25_weight(p_r[1][kd], st_r.den[kd], 1.0, 1.0))
+                w_d = _bm25_weight(p_c[1][j], den_c[j], 1.0, qc)
+                qr = _nearest_qw(p_r[1][kd], den_r[kd], w_d,
+                                 w_d / _bm25_weight(p_r[1][kd], den_r[kd], 1.0, 1.0))
                 if qr is None:
                     continue
                 tw = [(rare, qr, 1.0), (common, qc, 1.0)]
@@ -255,6 +303,64 @@ def test_avgdl_override_rebuilds_term_state(big_searcher):
     for q in queries:
         for kw in ({}, {"prune": False}):
             _assert_same(served.search_bm25(q, 10, **kw), fresh.search_bm25(q, 10, **kw), (q, kw))
+
+
+def _assert_same_as_fresh(served, method: str, q):
+    """`served.<method>(q)` answers bitwise as a new searcher's, pruned
+    and not."""
+    for kw in ({}, {"prune": False}):
+        fresh = IndexSearcher(served.index_dir)
+        _assert_same(getattr(served, method)(q, 10, **kw),
+                     getattr(fresh, method)(q, 10, **kw), (method, q, kw))
+
+
+def test_weight_cache_follows_query_weight(big_searcher):
+    """A term's cached weights are those of the last (qw, idf) it
+    served: a repeated token (qw 2) recomputes them and a later qw 1
+    query recomputes them back, each answer bitwise a fresh one's."""
+    s = IndexSearcher(big_searcher.index_dir)
+    t = _stem(s, "information")
+    for q, qw in ((["information"], 1), (["information", "information", "index"], 2),
+                  (["information"], 1), (["information", "index"], 1)):
+        _assert_same_as_fresh(s, "search_bm25", q)
+        assert s._bm25_states[t].scaled[0][0] == qw
+
+
+def test_weight_cache_follows_external_idf(big_searcher):
+    """A part scores with idf from global df (`search_bm25_weighted`,
+    as `PartitionSearcher` passes it): after local-idf queries on the
+    same terms, it and the local queries after it answer bitwise as a
+    fresh searcher."""
+    s = IndexSearcher(big_searcher.index_dir)
+    q = ["needle", "information", "search"]
+    terms = [_stem(s, w) for w in q]
+    local = [(t, 1, bm25_idf(s.df(t), s.n_docs)) for t in terms]
+    part = [(t, 1, bm25_idf(3 * s.df(t) + 1, 3 * s.n_docs)) for t in terms]
+    for method, step in (("search_bm25", q), ("search_bm25_weighted", local),
+                         ("search_bm25_weighted", part), ("search_bm25_weighted", part[1:]),
+                         ("search_bm25", q), ("search_bm25_weighted", part)):
+        _assert_same_as_fresh(s, method, step)
+    assert [s._bm25_states[t].scaled[0] for t in terms] == [(1, idf) for _, _, idf in part]
+
+
+def test_cached_arrays_are_read_only(big_searcher):
+    """Cached postings and weights are shared by every later query: an
+    in-place write raises, and the next query still answers as a fresh
+    searcher's."""
+    s = IndexSearcher(big_searcher.index_dir)
+    q = ["needle", "information"]
+    s.search_bm25(q, 10)
+    t = _stem(s, "information")
+    p = s.postings(t)
+    arrays = [*p[:3], s._bm25_states[t].scaled[1]]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+    for kw in ({}, {"prune": False}):
+        _assert_same(s.search_bm25(q, 10, **kw),
+                     IndexSearcher(s.index_dir).search_bm25(q, 10, **kw), kw)
 
 
 def test_counters_keys(big_searcher):
