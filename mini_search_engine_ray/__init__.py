@@ -17,7 +17,7 @@ Layout:
               scoring, sketches) — unit-testable in isolation
   sources/    corpus readers / synthesizers / adapters
   stages/     Dataset -> Dataset transforms (ingest, postings, shards,
-              merge, dedup, similarity, multimodal)
+              merge, dedup, similarity, stats, ...)
   state/      stateful serving components (index searcher actors,
               doc store, tombstones)
   pipelines/  end-to-end compositions (index build, query surface,

@@ -243,21 +243,6 @@ def pfordelta_decode(buf, *, delta: bool = True) -> np.ndarray:
     return np.cumsum(v) if delta else v
 
 
-class PForDeltaCompressor(Compressor):
-    """Patched frame-of-reference + delta — the north-star's named
-    block codec, exposed through the same plugin surface. Denser than
-    varint on uniform posting gaps (fixed b bits/value vs >=8), with
-    outliers patched as exceptions instead of widening the frame."""
-
-    def encode(self, integers) -> bytes:
-        return pfordelta_encode(integers, delta=self.delta)
-
-    def decode(self, buf, start: int = 0, length: int | None = None):
-        if length is None:
-            length = len(buf) - start
-        return pfordelta_decode(memoryview(buf)[start : start + length], delta=self.delta).tolist()
-
-
 def pfor_encode_many(flat: np.ndarray, offsets: np.ndarray, *, delta: bool = True) -> tuple[bytes, np.ndarray]:
     """Ragged-batch PForDelta: encode each list independently (per-list
     delta, first value absolute). Returns (bytes, byte_offsets[n+1]) —

@@ -6,6 +6,13 @@ runs on the same parquet tables (views: documents, embeddings, ...).
 Column names and rounding are kept EXACTLY in sync between both sides
 (the driver hash-compares values after sorting columns by name).
 
+Plan steps every query shares live in `plan.py`: `read_table` is the
+one read of an `sf_dir` table, and `shape(schema, r4=..., rename=...)`
+is the one result-shaping map (typed empty on an empty block, then
+take, round and cast each declared field). `_r4` and `_non_null_numpy`
+(the null check in front of every exact int64 conversion) live there
+too.
+
 Tokenization parity: the SQL tokenizer is the same RE2 character class
 as `functions/tokenizers.PUNCT_SPLIT_RE2`, verified byte-identical over
 the test corpus. SQL-checked search/scoring queries therefore run the
@@ -28,6 +35,7 @@ import pyarrow as pa
 
 from ..functions.stopwords import STOP_WORDS
 from ..functions.tokenizers import PUNCT_SPLIT_RE2
+from .plan import _codes, _non_null_numpy, _r4, read_table, shape
 
 FORMAT_VERSION = "v2"  # bump to invalidate /tmp index caches on format change
 
@@ -127,10 +135,6 @@ def _poly_list(items: list[str]) -> str:
     return expr
 
 
-def _r4(x: np.ndarray) -> np.ndarray:
-    return np.floor(np.asarray(x, dtype=np.float64) * 1e4 + 0.5) / 1e4
-
-
 # query constants (fixed, present in the synthetic documents vocabulary)
 KW = "spark"
 AND_TERMS = ["window", "merge"]
@@ -163,8 +167,6 @@ def _cache_root() -> str:
 
 def get_index(sf_dir: str, *, analyzer: str = "punctuation", positional: bool = True) -> str:
     """Build (or reuse) the documents-table index for sf_dir."""
-    import ray.data as rd
-
     from ..sources.corpus import adapt_documents_table, corpus_fingerprint
     from .build import build_index, load_meta
 
@@ -267,18 +269,6 @@ def _dist_searcher(sf_dir: str, *, positional: bool = False):
     return s
 
 
-def _docs_ds(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-
-
-def _events_ds(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(os.path.join(sf_dir, "events.parquet"))
-
-
 def _ids_table(ids) -> pa.Table:
     return pa.table({"doc_id": pa.array(np.asarray(ids, dtype=np.int64))})
 
@@ -307,19 +297,20 @@ def q_token_stats(sf_dir: str):
             cols[c] = pa.array(_r4(out[c].to_numpy(zero_copy_only=False)))
         return pa.table(cols)
 
-    return _docs_ds(sf_dir).map_batches(fix, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(fix, batch_format="pyarrow")
 
 
 def q_langid(sf_dir: str):
     from ..stages.textstats import langid_batch
 
-    return _docs_ds(sf_dir).map_batches(langid_batch, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(langid_batch, batch_format="pyarrow")
 
 
 def q_bpe_token_count(sf_dir: str):
     from ..stages.textstats import bpe_token_count_batch
 
-    return _docs_ds(sf_dir).map_batches(bpe_token_count_batch, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(bpe_token_count_batch,
+                                                        batch_format="pyarrow")
 
 
 def q_term_stats(sf_dir: str):
@@ -520,7 +511,7 @@ def q_bm25_topk_hydrated(sf_dir: str):
 def q_dedup_exact(sf_dir: str):
     from ..stages.dedup import dedup_exact
 
-    return dedup_exact(_docs_ds(sf_dir))
+    return dedup_exact(read_table(sf_dir, "documents"))
 
 
 def q_sha256_docs(sf_dir: str):
@@ -529,7 +520,7 @@ def q_sha256_docs(sf_dir: str):
     def add(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t["doc_id"], "sha256": sha256_column(t, "text")})
 
-    return _docs_ds(sf_dir).map_batches(add, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(add, batch_format="pyarrow")
 
 
 def q_token_count_total(sf_dir: str):
@@ -554,25 +545,18 @@ def _ann_inputs(sf_dir: str):
     definition for the cosine/IVF/LSH sketches so their query set and
     ordering can't drift apart."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
     qt = pq.read_table(emb_path, filters=[("vec_id", "<", ANN_QUERY_IDS)])
     qt = qt.sort_by("vec_id")  # query_id i == vec_id i
     qm = np.stack([np.asarray(v, dtype=np.float64)
                    for v in qt["embedding"].to_pylist()])
-    return rd.read_parquet(emb_path), qm
+    return read_table(sf_dir, "embeddings"), qm
 
 
-def _ann_fix(t: pa.Table) -> pa.Table:
-    """Shared ANN output normalization (scores rounded 4dp)."""
-    return pa.table(
-        {
-            "query_id": t["query_id"],  # == vec_id of the query
-            "vec_id": t["vec_id"],
-            "score": pa.array(_r4(t["score"].to_numpy(zero_copy_only=False))),
-        }
-    )
+# shared ANN output (query_id == vec_id of the query; score rounded 4dp)
+_ann_fix = shape(pa.schema({"query_id": pa.int64(), "vec_id": pa.int64(),
+                            "score": pa.float64()}), r4=["score"])
 
 
 def q_ann_cosine_topk(sf_dir: str):
@@ -590,8 +574,6 @@ def q_ann_hydrated(sf_dir: str):
     join per batch (``broadcast_join``) to attach the winning docs'
     text — retrieval + hydration with no data-sized shuffle (the
     vec_id ↔ doc_id identity is the synthetic tables' link)."""
-    import ray.data as rd
-
     from ..stages.join import broadcast_join
     from ..stages.similarity import ann_cosine_topk
 
@@ -599,21 +581,12 @@ def q_ann_hydrated(sf_dir: str):
     winners = ann_cosine_topk(ds, qm, k=ANN_K).drop_columns(["rank"]) \
         .map_batches(_ann_fix, batch_format="pyarrow").to_pandas()
     small = pa.Table.from_pandas(winners, preserve_index=False)
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = broadcast_join(docs, small, on="doc_id", right_on="vec_id",
                          how="inner")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "query_id": pc.cast(t["query_id"], pa.int64()),
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "score": t["score"],
-            "text": t["text"],
-        })
-
+    fix = shape(pa.schema({"query_id": pa.int64(), "doc_id": pa.int64(),
+                           "score": pa.float64(), "text": pa.string()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -623,12 +596,9 @@ def q_embedding_cov(sf_dir: str):
     batch, a d²-bounded driver combine (never the data), exploded to
     (i, j, cov) upper-triangle rows; the ``covar_pop`` oracle computes
     the identical population formula per pair."""
-    import ray.data as rd
-
     from ..stages.similarity import embedding_covariance
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["embedding"])
+    emb = read_table(sf_dir, "embeddings", columns=["embedding"])
     cov = embedding_covariance(emb)
     d = cov.shape[0]
     iu, ju = np.triu_indices(d)
@@ -655,7 +625,7 @@ def q_term_positions(sf_dir: str):
     s = _searcher(sf_dir)
     p = s.postings(KW, positions=True)
     if p is None:
-        return pa.table({"doc_id": pa.array([], pa.int64()), "pos": pa.array([], pa.int64())})
+        return pa.schema({"doc_id": pa.int64(), "pos": pa.int64()}).empty_table()
     docs, _, _, poslists = p
     out_doc, out_pos = [], []
     for d, pl in zip(docs.tolist(), poslists):
@@ -669,11 +639,9 @@ def q_term_positions(sf_dir: str):
 def q_code_term_stats(sf_dir: str):
     """(term, df, total_tf) under the code-aware tokenizer (camelCase /
     snake_case / acronym splitting, no stemming) — SQL-replicable."""
-    import ray.data as rd
-
     from ..stages.ingest import TokenizeExplode
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -697,17 +665,8 @@ def q_code_term_stats(sf_dir: str):
         [("term", "count", "df"), ("tf", "sum", "total_tf")],
     )
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "term": t["term"],
-                "df": pc.cast(t["df"], pa.int64()),
-                "total_tf": pc.cast(t["total_tf"], pa.int64()),
-            }
-        )
-
+    fix = shape(pa.schema({"term": pa.string(), "df": pa.int64(),
+                           "total_tf": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -797,13 +756,13 @@ def q_minhash_signatures(sf_dir: str):
             }
         )
 
-    return _docs_ds(sf_dir).map_batches(explode, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(explode, batch_format="pyarrow")
 
 
 def q_simhash(sf_dir: str):
     from ..stages.dedup import simhash_batch
 
-    return _docs_ds(sf_dir).map_batches(simhash_batch, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(simhash_batch, batch_format="pyarrow")
 
 
 def q_fingerprints(sf_dir: str):
@@ -830,13 +789,14 @@ def q_fingerprints(sf_dir: str):
             }
         )
 
-    return _docs_ds(sf_dir).map_batches(counts, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(counts, batch_format="pyarrow")
 
 
 def q_minhash_near_pairs(sf_dir: str):
     from ..stages.dedup import minhash_candidate_pairs
 
-    pairs, _ = minhash_candidate_pairs(_docs_ds(sf_dir).select_columns(["doc_id", "text"]))
+    pairs, _ = minhash_candidate_pairs(
+        read_table(sf_dir, "documents").select_columns(["doc_id", "text"]))
     return pairs
 
 
@@ -849,22 +809,15 @@ EMB_DUP_HYPERPLANES = 4  # dups (max cosine ~0.5), so the driver query
 
 
 def q_embedding_dup_pairs(sf_dir: str):
-    import ray.data as rd
-
     from ..stages.similarity import embedding_dup_pairs
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_table(sf_dir, "embeddings")
     out = embedding_dup_pairs(
         ds, threshold=EMB_DUP_THRESHOLD, num_hyperplanes=EMB_DUP_HYPERPLANES
     )
 
-    def fix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        return pa.table({"a": t["a"], "b": t["b"],
-                         "score": pa.array(_r4(t["score"].to_numpy(zero_copy_only=False)))})
-
+    fix = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "score": pa.float64()}),
+                r4=["score"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -874,20 +827,12 @@ def q_dedup_near_jaccard(sf_dir: str):
     verification kernel), value-checked end-to-end against SQL."""
     from ..stages.dedup import minhash_candidate_pairs, verify_pairs_jaccard
 
-    docs = _docs_ds(sf_dir)
+    docs = read_table(sf_dir, "documents")
     pairs, _ = minhash_candidate_pairs(docs.select_columns(["doc_id", "text"]))
     out = verify_pairs_jaccard(docs, pairs)  # Dataset (a, b, jaccard)
 
-    def fix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "jaccard": pa.array([], pa.float64())})
-        return pa.table({
-            "a": t["a"], "b": t["b"],
-            "jaccard": pa.array(_r4(t["jaccard"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "jaccard": pa.float64()}),
+                r4=["jaccard"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -896,23 +841,10 @@ WINDOW_HOP_S = 900
 SESSION_GAP_S = 1800
 
 
-def _window_fix(key_col: str = "event_type"):
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "window_start_us" not in t.column_names:
-            return pa.table({"window_start_us": pa.array([], pa.int64()),
-                             key_col: pa.array([], pa.large_string()),
-                             "n_events": pa.array([], pa.int64()),
-                             "sum_value": pa.array([], pa.float64())})
-        return pa.table({
-            "window_start_us": t["window_start_us"],
-            key_col: pc.cast(t[key_col], pa.large_string()),
-            "n_events": t["n_events"],
-            "sum_value": pa.array(_r4(t["sum_value"].to_numpy(zero_copy_only=False))),
-        })
-
-    return fix
+# output of the tumbling and sliding window aggregates
+_window_fix = shape(pa.schema({"window_start_us": pa.int64(), "event_type": pa.large_string(),
+                               "n_events": pa.int64(), "sum_value": pa.float64()}),
+                    r4=["sum_value"])
 
 
 def q_window_tumbling(sf_dir: str):
@@ -920,8 +852,8 @@ def q_window_tumbling(sf_dir: str):
     partial (lexsort+reduceat) -> native groupby over partials."""
     from ..stages.windows import tumbling_window_agg
 
-    out = tumbling_window_agg(_events_ds(sf_dir), width_s=WINDOW_WIDTH_S)
-    return out.map_batches(_window_fix(), batch_format="pyarrow")
+    out = tumbling_window_agg(read_table(sf_dir, "events"), width_s=WINDOW_WIDTH_S)
+    return out.map_batches(_window_fix, batch_format="pyarrow")
 
 
 def q_window_distinct_users(sf_dir: str):
@@ -942,18 +874,11 @@ def q_window_distinct_users(sf_dir: str):
             "user_id": t["user_id"],
         })
 
-    ds = _events_ds(sf_dir).map_batches(bucket, batch_format="pyarrow")
+    ds = read_table(sf_dir, "events").map_batches(bucket, batch_format="pyarrow")
     out = count_distinct_per_group(ds, ["window_start_us"], "user_id",
                                    alias="n_users")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "window_start_us": pc.cast(t["window_start_us"], pa.int64()),
-            "n_users": pc.cast(t["n_users"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"window_start_us": pa.int64(), "n_users": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -962,9 +887,9 @@ def q_window_sliding(sf_dir: str):
     replicated x4 AFTER collapse, then the same tiny groupby."""
     from ..stages.windows import sliding_window_agg
 
-    out = sliding_window_agg(_events_ds(sf_dir), width_s=WINDOW_WIDTH_S,
+    out = sliding_window_agg(read_table(sf_dir, "events"), width_s=WINDOW_WIDTH_S,
                              hop_s=WINDOW_HOP_S)
-    return out.map_batches(_window_fix(), batch_format="pyarrow")
+    return out.map_batches(_window_fix, batch_format="pyarrow")
 
 
 def q_sessionize(sf_dir: str):
@@ -972,23 +897,11 @@ def q_sessionize(sf_dir: str):
     sort, per-block vectorized sweep, O(num_blocks) edge stitch."""
     from ..stages.windows import sessionize
 
-    out = sessionize(_events_ds(sf_dir), gap_s=SESSION_GAP_S)
+    out = sessionize(read_table(sf_dir, "events"), gap_s=SESSION_GAP_S)
 
-    def fix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "user_id" not in t.column_names:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "session_start_us": pa.array([], pa.int64()),
-                             "session_end_us": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "sum_value": pa.array([], pa.float64())})
-        return pa.table({
-            "user_id": t["user_id"],
-            "session_start_us": t["session_start_us"],
-            "session_end_us": t["session_end_us"],
-            "n_events": t["n_events"],
-            "sum_value": pa.array(_r4(t["sum_value"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"user_id": pa.int64(), "session_start_us": pa.int64(),
+                           "session_end_us": pa.int64(), "n_events": pa.int64(),
+                           "sum_value": pa.float64()}), r4=["sum_value"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -999,7 +912,7 @@ def q_asof_attribution(sf_dir: str):
     O(num_blocks) carry chain."""
     from ..stages.windows import asof_join_latest
 
-    return asof_join_latest(_events_ds(sf_dir))
+    return asof_join_latest(read_table(sf_dir, "events"))
 
 
 DEDUP_CLUSTER_THRESHOLD = 0.8  # all sf candidates sit >= 0.9, comfortably
@@ -1013,17 +926,10 @@ def q_dedup_clusters(sf_dir: str):
     doc in a surviving pair; dedup keeps node == component."""
     from ..stages.dedup import near_dup_clusters
 
-    import pyarrow.compute as pc
+    out = near_dup_clusters(read_table(sf_dir, "documents"),
+                            threshold=DEDUP_CLUSTER_THRESHOLD)
 
-    out = near_dup_clusters(_docs_ds(sf_dir), threshold=DEDUP_CLUSTER_THRESHOLD)
-
-    def fix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.column_names:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "component": pa.array([], pa.int64())})
-        return pa.table({"node": pc.cast(t["node"], pa.int64()),
-                         "component": pc.cast(t["component"], pa.int64())})
-
+    fix = shape(pa.schema({"node": pa.int64(), "component": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1036,19 +942,10 @@ def q_top_events_per_user(sf_dir: str):
     + per-block lexsort sweep — no per-group Python."""
     from ..stages.aggregates import topk_per_group
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) else ts
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "ts_us": ts.cast(pa.int64()),
-            "value": pc.cast(t["value"], pa.float64()),
-        })
-
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    prep = shape(pa.schema({"user_id": pa.int64(), "event_id": pa.int64(),
+                            "ts_us": pa.int64(), "value": pa.float64()}),
+                 rename={"ts_us": "ts"})
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     return topk_per_group(ds, ["user_id"], "value", TOPK_PER_GROUP_K,
                           tiebreak="event_id")
 
@@ -1059,13 +956,8 @@ def q_user_value_quantiles(sf_dir: str):
     pick — exact for high-cardinality groups."""
     from ..stages.aggregates import quantile_per_group
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
-                         "value": pc.cast(t["value"], pa.float64())})
-
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    prep = shape(pa.schema({"user_id": pa.int64(), "value": pa.float64()}))
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     return quantile_per_group(ds, ["user_id"], "value", [0.5, 0.95])
 
 
@@ -1079,7 +971,7 @@ def q_distinct_hll(sf_dir: str):
     the sketch itself (not just its estimate) is value-checked in SQL."""
     from ..stages.textstats import distinct_count_hll
 
-    return distinct_count_hll(_docs_ds(sf_dir),
+    return distinct_count_hll(read_table(sf_dir, "documents"),
                               precision_bits=HLL_PRECISION_BITS)
 
 
@@ -1089,24 +981,14 @@ def q_source_distinct_hll(sf_dir: str):
     keys × 2^p plane per batch; the shuffle carries register rows,
     never tokens).  Registers are deterministic given md5-low-64, so
     the grouped SKETCH itself is value-checked in SQL."""
-    import ray.data as rd
-
     from ..stages.textstats import hll_registers_per_group
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["source", "text"])
+    docs = read_table(sf_dir, "documents", columns=["source", "text"])
     out = hll_registers_per_group(docs, "source",
                                   precision_bits=HLL_PRECISION_BITS)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "source": pc.cast(t["source"], pa.large_string()),
-            "bucket": pc.cast(t["bucket"], pa.int64()),
-            "rho": pc.cast(t["rho"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"source": pa.large_string(), "bucket": pa.int64(),
+                           "rho": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1125,12 +1007,9 @@ def q_cms_token_counts(sf_dir: str):
     (a, b) mix constants, so the oracle replicates the full register
     arithmetic in UHUGEINT SQL — estimates match exactly, collisions
     and all."""
-    import ray.data as rd
-
     from ..stages.textstats import cms_estimate, count_min_sketch
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text"])
+    docs = read_table(sf_dir, "documents", columns=["text"])
     reg = count_min_sketch(docs, depth=CMS_DEPTH,
                            width_bits=CMS_WIDTH_BITS, seed=CMS_SEED)
     est = cms_estimate(reg, CMS_PROBES, depth=CMS_DEPTH,
@@ -1175,37 +1054,27 @@ def q_heavy_hitters(sf_dir: str):
     """Exact heavy hitters (tokens with > 1/HH_K of the token stream)
     via the two-pass Misra-Gries-style candidate + recount operator:
     the shuffle carries <= k rows per batch, never the token stream."""
-    import ray.data as rd
-
     from ..stages.frequent import heavy_hitters
 
-    return heavy_hitters(rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]))
+    return heavy_hitters(read_table(sf_dir, "documents", columns=["text"]))
 
 
 def q_bigram_pmi(sf_dir: str):
     """Frequent adjacent-token bigrams (count * BIGRAM_K > total
     pairs) with exact counts and PMI — collocation mining with the
     same pigeonhole-bounded two-pass shape (at most k-1 survivors)."""
-    import ray.data as rd
-
     from ..stages.frequent import bigram_pmi
 
-    return bigram_pmi(rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]))
+    return bigram_pmi(read_table(sf_dir, "documents", columns=["text"]))
 
 
 def q_hash_split(sf_dir: str):
     """Deterministic content-addressed train/valid/test split:
     md5-low-64(text) mod 10000 bucketed 80/10/10 — stable under
     re-sharding; pure per-batch map, no shuffle."""
-    import ray.data as rd
-
     from ..stages.sampling import hash_split
 
-    return hash_split(rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"]))
+    return hash_split(read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
 def q_cap_per_source(sf_dir: str):
@@ -1213,12 +1082,9 @@ def q_cap_per_source(sf_dir: str):
     per `source`, choosing the cap-smallest md5-low-64(text) (ties by
     doc_id) — content-addressed, deterministic, one key-only range
     sort + vectorized per-block rank sweep."""
-    import ray.data as rd
-
     from ..stages.sampling import cap_per_group
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text", "source"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "source"])
     return cap_per_group(ds, ["source"], CAP_PER_SOURCE)
 
 
@@ -1228,25 +1094,12 @@ def q_user_event_diversity(sf_dir: str):
     companion to the HLL sketch)."""
     from ..stages.aggregates import count_distinct_per_group
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
-                         "event_type": pc.cast(t["event_type"], pa.string())})
-
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    prep = shape(pa.schema({"user_id": pa.int64(), "event_type": pa.string()}))
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     out = count_distinct_per_group(ds, ["user_id"], "event_type",
                                    alias="n_types")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "user_id" not in t.column_names:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "n_types": pa.array([], pa.int64())})
-        return pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
-                         "n_types": pc.cast(t["n_types"], pa.int64())})
-
+    fix = shape(pa.schema({"user_id": pa.int64(), "n_types": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1259,12 +1112,8 @@ def q_value_quantiles_global(sf_dir: str):
     rank — the driver never materializes the dataset."""
     from ..stages.aggregates import global_quantiles
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"value": pc.cast(t["value"], pa.float64())})
-
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    prep = shape(pa.schema({"value": pa.float64()}))
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     return global_quantiles(ds, "value", GLOBAL_QS)
 
 
@@ -1280,12 +1129,8 @@ def q_value_quantiles_hist(sf_dir: str):
     EXACTLY, not just within the error bound."""
     from ..stages.aggregates import histogram_quantiles
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"value": pc.cast(t["value"], pa.float64())})
-
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    prep = shape(pa.schema({"value": pa.float64()}))
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     out = histogram_quantiles(ds, "value", GLOBAL_QS, bins=HIST_BINS)
     return pa.table({"q": out["q"],
                      "value": pa.array(_r4(out["value"].to_numpy(
@@ -1324,30 +1169,13 @@ def q_user_quantiles_hist(sf_dir: str):
     estimates exactly)."""
     from ..stages.aggregates import histogram_quantiles_per_group
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"user_id": t["user_id"],
-                         "value": pc.cast(t["value"], pa.float64())})
-
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    prep = shape(pa.schema({"user_id": pa.int64(), "value": pa.float64()}))
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     out = histogram_quantiles_per_group(ds, "user_id", "value",
                                         GLOBAL_QS, bins=HIST_BINS)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "user_id" not in t.column_names:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "q": pa.array([], pa.float64()),
-                             "value": pa.array([], pa.float64())})
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "q": t["q"],
-            "value": pa.array(_r4(t["value"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"user_id": pa.int64(), "q": pa.float64(),
+                           "value": pa.float64()}), r4=["value"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1387,18 +1215,14 @@ def q_revenue_per_nation(sf_dir: str):
     integer-valued quantities, and max of an IEEE-exact product —
     no float-association hazard between the engines."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import broadcast_join, sort_merge_join
 
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_quantity", "l_extendedprice", "l_discount"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity",
+                                                 "l_extendedprice", "l_discount"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     j1 = sort_merge_join(li, orders, "l_orderkey", "o_orderkey",
                          partitions=8)
     j1_schema = pa.schema([("l_orderkey", pa.int64()),
@@ -1425,23 +1249,9 @@ def q_revenue_per_nation(sf_dir: str):
         [("qty", "count", "n_items"), ("qty", "sum", "sum_qty"),
          ("rev", "max", "max_item_rev")])
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "n_name" not in t.column_names:
-            return pa.table({"n_name": pa.array([], pa.string()),
-                             "n_items": pa.array([], pa.int64()),
-                             "sum_qty": pa.array([], pa.int64()),
-                             "max_item_rev": pa.array([], pa.float64())})
-        return pa.table({
-            "n_name": pc.cast(t["n_name"], pa.string()),
-            "n_items": pc.cast(t["n_items"], pa.int64()),
-            "sum_qty": pa.array(t["sum_qty"].to_numpy(
-                zero_copy_only=False).astype(np.int64)),
-            "max_item_rev": pa.array(_r4(t["max_item_rev"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"n_name": pa.string(), "n_items": pa.int64(),
+                           "sum_qty": pa.int64(), "max_item_rev": pa.float64()}),
+                r4=["max_item_rev"])
     return agg.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1449,15 +1259,11 @@ def q_customer_order_counts(sf_dir: str):
     """Left-join semantics: every customer with their order count,
     zero-order customers included (null right side counted as 0) —
     customer LEFT sort-merge-join orders + one sorted reduction."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     j = sort_merge_join(cust, orders, "c_custkey", "o_custkey", how="left",
                         partitions=8)
 
@@ -1470,15 +1276,7 @@ def q_customer_order_counts(sf_dir: str):
     agg = sorted_groupby_agg(j.map_batches(prep, batch_format="pyarrow"),
                              ["c_custkey"], [("matched", "sum", "n_orders")])
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "c_custkey" not in t.column_names:
-            return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "n_orders": pa.array([], pa.int64())})
-        return pa.table({"c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-                         "n_orders": pc.cast(t["n_orders"], pa.int64())})
-
+    fix = shape(pa.schema({"c_custkey": pa.int64(), "n_orders": pa.int64()}))
     return agg.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1489,15 +1287,11 @@ def q_customer_order_counts_skew(sf_dir: str):
     replicated 4x, everything else riding salt 0 — the result must be
     row-identical to the plain sort-merge join, which is what sharing
     customer_order_counts' oracle proves."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import skew_join
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     j = skew_join(cust, orders, "c_custkey", "o_custkey", how="left",
                   hot_keys=list(range(10)), salt=4, partitions=8)
 
@@ -1510,15 +1304,7 @@ def q_customer_order_counts_skew(sf_dir: str):
     agg = sorted_groupby_agg(j.map_batches(prep, batch_format="pyarrow"),
                              ["c_custkey"], [("matched", "sum", "n_orders")])
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "c_custkey" not in t.column_names:
-            return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "n_orders": pa.array([], pa.int64())})
-        return pa.table({"c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-                         "n_orders": pc.cast(t["n_orders"], pa.int64())})
-
+    fix = shape(pa.schema({"c_custkey": pa.int64(), "n_orders": pa.int64()}))
     return agg.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1527,16 +1313,11 @@ def q_customers_without_orders(sf_dir: str):
     order (the unrestricted version is empty at every sf — each
     customer has some order).  Right payload never enters the shuffle
     — right rows reduce to key + side tag."""
-    import ray.data as rd
-
     from ..stages.join import sort_merge_join
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey"])
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderstatus"],
-    ).filter(expr="o_orderstatus == 'P'").select_columns(["o_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"]) \
+        .filter(expr="o_orderstatus == 'P'").select_columns(["o_custkey"])
     return sort_merge_join(cust, orders, "c_custkey", "o_custkey",
                            how="anti", partitions=8)
 
@@ -1544,14 +1325,10 @@ def q_customers_without_orders(sf_dir: str):
 def q_parts_in_lineitem(sf_dir: str):
     """Semi join (SQL EXISTS): parts referenced by at least one
     lineitem, each emitted once."""
-    import ray.data as rd
-
     from ..stages.join import sort_merge_join
 
-    part = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                           columns=["p_partkey"])
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey"])
+    part = read_table(sf_dir, "part", columns=["p_partkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_partkey"])
     return sort_merge_join(part, li, "p_partkey", "l_partkey",
                            how="semi", partitions=8)
 
@@ -1560,12 +1337,9 @@ def q_custkeys_intersect(sf_dir: str):
     """SQL INTERSECT (distinct set semantics): BUILDING-segment
     customer keys that also placed at least one order — through the
     null-aware tagged sorted sweep, not an EXISTS composition."""
-    import ray.data as rd
-
     from ..stages.aggregates import set_op
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_mktsegment"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
 
     def flt(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1573,8 +1347,7 @@ def q_custkeys_intersect(sf_dir: str):
         keep = pc.equal(t["c_mktsegment"], "BUILDING")
         return pa.table({"custkey": t.filter(keep)["c_custkey"]})
 
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey"])
     return set_op(cust.map_batches(flt, batch_format="pyarrow"),
                   orders.map_batches(
                       lambda t: pa.table({"custkey": t["o_custkey"]}),
@@ -1587,14 +1360,10 @@ def q_partkeys_except(sf_dir: str):
     lineitem — the quantity restriction keeps the difference non-empty
     at every scale factor (an unrestricted EXCEPT is empty: every part
     is referenced)."""
-    import ray.data as rd
-
     from ..stages.aggregates import set_op
 
-    part = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                           columns=["p_partkey"])
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_quantity"])
+    part = read_table(sf_dir, "part", columns=["p_partkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
 
     def bulk(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1618,20 +1387,15 @@ def q_building_f_orders_full(sf_dir: str):
     segment with 'F' orders → acctbal −1).  Nulls are coalesced to
     sentinels on BOTH engines so the value hash never rides on
     NaN-representation details."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_acctbal", "c_mktsegment"],
-    ).filter(expr="c_mktsegment == 'BUILDING'") \
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_acctbal",
+                                                   "c_mktsegment"]) \
+        .filter(expr="c_mktsegment == 'BUILDING'") \
         .select_columns(["c_custkey", "c_acctbal"])
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderstatus"],
-    ).filter(expr="o_orderstatus == 'F'").select_columns(["o_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"]) \
+        .filter(expr="o_orderstatus == 'F'").select_columns(["o_custkey"])
     agg = sorted_groupby_agg(orders, ["o_custkey"],
                              [("o_custkey", "count", "n_f_orders")])
     agg_schema = pa.schema([("o_custkey", pa.int64()),
@@ -1664,24 +1428,16 @@ def q_doc_keywords(sf_dir: str):
     block-local, so the run length IS the global df) + the
     topk-per-doc sort.  N from parquet footer metadata."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ..stages.textstats import doc_keywords
 
     path = os.path.join(sf_dir, "documents.parquet")
     n_docs = pq.ParquetFile(path).metadata.num_rows
-    docs = rd.read_parquet(path, columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     top = doc_keywords(docs, n_docs=n_docs, k=DOC_KEYWORDS_K)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "term": pc.cast(t["term"], pa.string()),
-            "score": pa.array(_r4(t["score"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "term": pa.string(),
+                           "score": pa.float64()}), r4=["score"])
     return top.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1696,24 +1452,13 @@ def q_chunk_docs(sf_dir: str):
     split): each doc expands to ceil(T/stride) chunks of up to
     `window` analyzed tokens re-joined with single spaces.  Pure
     per-batch map that EXPANDS rows — no shuffle, no state."""
-    import ray.data as rd
-
     from ..stages.chunking import chunk_documents
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = chunk_documents(docs, window=CHUNK_WINDOW, stride=CHUNK_STRIDE)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "chunk_id": pc.cast(t["chunk_id"], pa.int64()),
-            "chunk_text": pc.cast(t["chunk_text"], pa.string()),
-            "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "chunk_id": pa.int64(),
+                           "chunk_text": pa.string(), "n_tokens": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1724,12 +1469,9 @@ def q_decontam_drop(sf_dir: str):
     (benchmark-sized by contract), broadcast once via ray.put, and the
     corpus streams through one vectorized is_in membership map — no
     shuffle anywhere."""
-    import ray.data as rd
-
     from ..stages.decontam import decontaminate, ngram_set
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
     def is_bench(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -1739,14 +1481,7 @@ def q_decontam_drop(sf_dir: str):
     grams = ngram_set(bench, n=DECONTAM_N)
     clean = decontaminate(docs, grams, n=DECONTAM_N)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "lang": pc.cast(t["lang"], pa.string()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "lang": pa.string()}))
     return clean.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1757,12 +1492,9 @@ def q_decontam_frac(sf_dir: str):
     instead of on a single shared gram.  Same broadcast-membership
     scale shape as decontam_drop; per-doc counts are exact, so the
     oracle replays every fraction."""
-    import ray.data as rd
-
     from ..stages.decontam import contamination_fraction, ngram_set
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def is_bench(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -1772,17 +1504,9 @@ def q_decontam_frac(sf_dir: str):
     grams = ngram_set(bench, n=DECONTAM_N)
     out = contamination_fraction(docs, grams, n=DECONTAM_N)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_grams": pc.cast(t["n_grams"], pa.int64()),
-            "n_contaminated": pc.cast(t["n_contaminated"], pa.int64()),
-            "contam_frac": pa.array(_r4(t["contam_frac"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_grams": pa.int64(),
+                           "n_contaminated": pa.int64(), "contam_frac": pa.float64()}),
+                r4=["contam_frac"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1796,25 +1520,14 @@ def q_dup_passages(sf_dir: str):
     hash per row (md5-low-64 of the space-joined gram — DuckDB's
     md5_number_lower replays it exactly); one hash sort + one
     doc-keyed grouped sum."""
-    import ray.data as rd
-
     from ..stages.dedup import dup_passage_stats
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = dup_passage_stats(docs, n=DUP_PASSAGE_N)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_grams": pc.cast(t["n_grams"], pa.int64()),
-            "n_dup": pc.cast(t["n_dup"], pa.int64()),
-            "dup_frac": pa.array(_r4(t["dup_frac"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_grams": pa.int64(),
+                           "n_dup": pa.int64(), "dup_frac": pa.float64()}),
+                r4=["dup_frac"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -1827,12 +1540,9 @@ def _q_dedup_passages_rewrite(sf_dir: str, policy: str):
     hashing as `dup_passages` (md5-low-64, DuckDB-replayable); one
     narrow hash sort + one narrow removal sort + one doc-keyed
     sort-merge join."""
-    import ray.data as rd
-
     from ..stages.dedup import remove_dup_passages
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     return remove_dup_passages(docs, n=DUP_PASSAGE_N, policy=policy)
 
 
@@ -1890,12 +1600,9 @@ def q_bpe_merges(sf_dir: str):
     partials -> pair groupby -> top-1 -> vectorized greedy merge).
     The oracle unrolls the 8 rounds in SQL with a pipe-encoded symbol
     string whose left-to-right `replace` IS greedy BPE merging."""
-    import ray.data as rd
-
     from ..stages.bpe import bpe_train
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text"])
+    docs = read_table(sf_dir, "documents", columns=["text"])
     return bpe_train(docs, num_merges=BPE_MERGES_M)
 
 
@@ -1905,17 +1612,13 @@ def q_bpe_piece_counts(sf_dir: str):
     (replay in training order, greedy left-to-right per word).  The
     merge table is 8 driver-side rows broadcast into the map; the
     segmentation itself is a pure per-batch map over documents."""
-    import ray.data as rd
-
     from ..stages.bpe import bpe_segment_batch, bpe_train
 
-    corpus = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                             columns=["text"])
+    corpus = read_table(sf_dir, "documents", columns=["text"])
     merges_t = bpe_train(corpus, num_merges=BPE_MERGES_M)
     merges = list(zip(merges_t["left"].to_pylist(),
                       merges_t["right"].to_pylist()))
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def seg(t: pa.Table) -> pa.Table:
         return bpe_segment_batch(t, merges)
@@ -1999,24 +1702,14 @@ def q_doc_repetition(sf_dir: str):
     repetitious-text gate): duplicate-gram occurrence fraction and
     top-gram fraction per doc, 4dp half-up on both engines.  Pure
     per-batch map (dictionary-encode + one np.unique per batch)."""
-    import ray.data as rd
-
     from ..stages.textstats import doc_repetition_stats
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = doc_repetition_stats(docs, n=REPETITION_N)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_ngrams": pc.cast(t["n_ngrams"], pa.int64()),
-            "dup_ngram_frac": pc.cast(t["dup_ngram_frac"], pa.float64()),
-            "top_ngram_frac": pc.cast(t["top_ngram_frac"], pa.float64()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_ngrams": pa.int64(),
+                           "dup_ngram_frac": pa.float64(),
+                           "top_ngram_frac": pa.float64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2030,15 +1723,12 @@ def q_running_user_value(sf_dir: str):
     sort, O(num_blocks) edge summaries + driver carry thread, one
     vectorized cumsum per block; uniqueness of the sort tuple is
     enforced (event_id is the tiebreaker)."""
-    import ray.data as rd
-
     from ..stages.scan import running_sum
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id", "value"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "event_id": t["event_id"],
             "ts": t["ts"],
@@ -2050,29 +1740,18 @@ def q_running_user_value(sf_dir: str):
                           value_col="cents", order_by=["ts", "event_id"],
                           key_col="user_id", out_col="running_cents")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "cents": pc.cast(t["cents"], pa.int64()),
-            "running_cents": pc.cast(t["running_cents"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "user_id": pa.int64(),
+                           "cents": pa.int64(), "running_cents": pa.int64()}))
     return scanned.map_batches(fix, batch_format="pyarrow")
 
 
 def _events_cents(sf_dir: str):
     """(event_id, ts, user_id, cents) — integer cents so every window
     engine accumulates exactly; shared by the bounded-frame queries."""
-    import ray.data as rd
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id", "value"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "event_id": t["event_id"],
             "ts": t["ts"],
@@ -2171,12 +1850,9 @@ def q_sample_exact_n(sf_dir: str):
     """Deterministic exact-size corpus sample: the SAMPLE_N docs with
     the globally smallest md5-low-64(text) — per-batch local top-n
     prefilter bounds the global sort at n*batches rows."""
-    import ray.data as rd
-
     from ..stages.sampling import sample_exact_n
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "source"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "source"])
     out = sample_exact_n(docs, SAMPLE_N)
     return out.select_columns(["doc_id", "source"])
 
@@ -2186,12 +1862,9 @@ def q_weighted_sample(sf_dir: str):
     1000, 1) — longer docs survive with higher probability, junk-short
     ones rarely; content-addressed (md5), so the SQL oracle replays
     every individual keep/drop decision."""
-    import ray.data as rd
-
     from ..stages.sampling import sample_by_rate
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "n_chars"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
 
     def rate(t: pa.Table) -> pa.Table:
         n = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -2210,17 +1883,10 @@ def q_events_zscore_filter(sf_dir: str):
     broadcast-threshold filter, no shuffle."""
     from ..stages.sampling import filter_by_zscore
 
-    out = filter_by_zscore(_events_ds(sf_dir), "value", max_abs_z=1.5)
+    out = filter_by_zscore(read_table(sf_dir, "events"), "value", max_abs_z=1.5)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "value": pa.array(_r4(t["value"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "value": pa.float64()}),
+                r4=["value"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2234,18 +1900,11 @@ def q_event_value_ranks(sf_dir: str):
 
     out = add_ranks(_events_cents(sf_dir), order_by="cents")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "cents": pc.cast(t["cents"], pa.int64()),
-            "rnk": pc.cast(t["rank"], pa.int64()),
-            "dense_rnk": pc.cast(t["dense_rank"], pa.int64()),
-            "pct_rnk": pa.array(_r4(t["percent_rank"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "cents": pa.int64(),
+                           "rnk": pa.int64(), "dense_rnk": pa.int64(),
+                           "pct_rnk": pa.float64()}), r4=["pct_rnk"],
+                rename={"rnk": "rank", "dense_rnk": "dense_rank",
+                        "pct_rnk": "percent_rank"})
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2275,10 +1934,10 @@ def q_user_event_quartile(sf_dir: str):
         import pyarrow.compute as pc
 
         if t.num_rows == 0:
-            return pa.table({"event_id": pa.array([], pa.int64()),
-                             "quartile": pa.array([], pa.int64())})
-        r0 = t["rn"].to_numpy(zero_copy_only=False).astype(np.int64) - 1
-        n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+            return pa.schema({"event_id": pa.int64(),
+                              "quartile": pa.int64()}).empty_table()
+        r0 = _non_null_numpy(t, "rn").astype(np.int64) - 1
+        n = _non_null_numpy(t, "n").astype(np.int64)
         return pa.table({
             "event_id": pc.cast(t["event_id"], pa.int64()),
             "quartile": pa.array(ntile_ids(r0, n, K)),
@@ -2293,26 +1952,16 @@ def q_doc_rank_by_len(sf_dir: str):
     n_chars with descending=True — the carry thread only needs
     contiguous equal runs, which any consistent sort direction
     gives."""
-    import ray.data as rd
-
     from ..stages.scan import add_ranks
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "n_chars"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
     out = add_ranks(docs, order_by="n_chars", descending=True)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_chars": pc.cast(t["n_chars"], pa.int64()),
-            "rnk": pc.cast(t["rank"], pa.int64()),
-            "dense_rnk": pc.cast(t["dense_rank"], pa.int64()),
-            "pct_rnk": pa.array(_r4(t["percent_rank"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_chars": pa.int64(),
+                           "rnk": pa.int64(), "dense_rnk": pa.int64(),
+                           "pct_rnk": pa.float64()}), r4=["pct_rnk"],
+                rename={"rnk": "rank", "dense_rnk": "dense_rank",
+                        "pct_rnk": "percent_rank"})
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2326,7 +1975,7 @@ def q_user_value_stats(sf_dir: str):
     ev = _events_cents(sf_dir)
 
     def prep(t: pa.Table) -> pa.Table:
-        c = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
+        c = _non_null_numpy(t, "cents").astype(np.int64)
         return pa.table({"user_id": t["user_id"],
                          "c": pa.array(c), "c2": pa.array(c * c)})
 
@@ -2364,14 +2013,7 @@ def q_event_ntile(sf_dir: str):
     out = ntile(_events_cents(sf_dir), k=NTILE_K,
                 order_by=["ts", "event_id"])
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "ntile": pc.cast(t["ntile"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "ntile": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2384,24 +2026,13 @@ def q_unigram_quality(sf_dir: str):
     top-V vocabulary and an OOV floor.  Pass 1 counts tokens
     (vocabulary-sized shuffle), the V-row head broadcasts once, pass 2
     is a pure vectorized map."""
-    import ray.data as rd
-
     from ..stages.textstats import unigram_logprob
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = unigram_logprob(docs, top_v=UNIGRAM_TOP_V, oov_count=0.5)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
-            "logprob": pa.array(_r4(t["logprob"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_tokens": pa.int64(),
+                           "logprob": pa.float64()}), r4=["logprob"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2428,24 +2059,14 @@ def q_event_row_number(sf_dir: str):
     through the same one-sort + carry-thread prefix-scan plan as
     running_user_value (unique tuple enforced, so the numbering is
     deterministic on both engines)."""
-    import ray.data as rd
-
     from ..stages.scan import row_number
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id"])
     rn = row_number(ev, order_by=["ts", "event_id"], key_col="user_id",
                     out_col="rn")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "rn": pc.cast(t["rn"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "user_id": pa.int64(),
+                           "rn": pa.int64()}))
     return rn.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2453,15 +2074,12 @@ def q_running_max_value(sf_dir: str):
     """Per-user running MAX of integer cents over (ts, event_id) —
     the extremum fold through the carry thread (a carried maximum
     must WIN inside later blocks of a key that spans blocks)."""
-    import ray.data as rd
-
     from ..stages.scan import running_agg
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id", "value"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "event_id": t["event_id"],
             "ts": t["ts"],
@@ -2474,16 +2092,8 @@ def q_running_max_value(sf_dir: str):
                           value_col="cents", key_col="user_id",
                           out_col="max_cents")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "cents": pc.cast(t["cents"], pa.int64()),
-            "max_cents": pc.cast(t["max_cents"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "user_id": pa.int64(),
+                           "cents": pa.int64(), "max_cents": pa.int64()}))
     return scanned.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2492,23 +2102,13 @@ def q_token_shards(sf_dir: str):
     shards by global cumulative token position in doc_id order
     (shard_id = exclusive_prefix_sum // budget) — the deterministic
     sequence-sharding step, built on the same prefix scan."""
-    import ray.data as rd
-
     from ..stages.scan import token_budget_shards
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = token_budget_shards(docs, budget=TOKEN_SHARD_BUDGET)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
-            "shard_id": pc.cast(t["shard_id"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_tokens": pa.int64(),
+                           "shard_id": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2524,24 +2124,14 @@ def q_scrub_pii(sf_dir: str):
     map over the customer table — no shuffle, no state.  Arrow
     replace_substring_regex and DuckDB regexp_replace(...,'g') share
     the RE2 dialect, which is exactly what this query proves."""
-    import ray.data as rd
-
     from ..stages.scrub import scrub_text
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_name"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
     out = scrub_text(cust, SCRUB_RULES, text_col="c_name",
                      out_col="name_scrubbed", count_col="n_hits")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-            "name_scrubbed": pc.cast(t["name_scrubbed"], pa.string()),
-            "n_hits": pc.cast(t["n_hits"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"c_custkey": pa.int64(), "name_scrubbed": pa.string(),
+                           "n_hits": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2556,12 +2146,9 @@ def q_stratified_sample(sf_dir: str):
     language curation move): keep iff md5_low64(text) % 10000 < the
     language's keep rate.  Pure map, no shuffle, no RNG state; the
     oracle replays the assignment with md5_number_lower."""
-    import ray.data as rd
-
     from ..stages.sampling import sample_fraction
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     return sample_fraction(docs, STRAT_RATES, default=STRAT_DEFAULT,
                            group_col="lang", hash_col="text",
                            out_cols=["doc_id", "lang"])
@@ -2574,12 +2161,9 @@ def q_label_centroids(sf_dir: str):
     (unnest + generate_subscripts + AVG) compares value by value;
     means rounded 4dp on both engines (summation association
     differs)."""
-    import ray.data as rd
-
     from ..stages.similarity import group_centroids
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["label", "embedding"])
+    emb = read_table(sf_dir, "embeddings", columns=["label", "embedding"])
     cents = group_centroids(emb, "label", emb_col="embedding")
 
     def explode(t: pa.Table) -> pa.Table:
@@ -2588,10 +2172,10 @@ def q_label_centroids(sf_dir: str):
         from ..stages.similarity import _emb_matrix
 
         if t.num_rows == 0:
-            return pa.table({"label": pa.array([], pa.int64()),
-                             "dim": pa.array([], pa.int64()),
-                             "mean": pa.array([], pa.float64()),
-                             "n": pa.array([], pa.int64())})
+            return pa.schema({"label": pa.int64(),
+                              "dim": pa.int64(),
+                              "mean": pa.float64(),
+                              "n": pa.int64()}).empty_table()
         m = _emb_matrix(t, "centroid")
         r, d = m.shape
         lab = pc.cast(t["label"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -2614,22 +2198,13 @@ def q_events_above_p90(sf_dir: str):
     exact global p90 — threshold located via sorted-block row-count
     metadata (one block fetched, no driver materialization), then one
     streaming filter pass."""
-    import ray.data as rd
-
     from ..stages.aggregates import filter_by_quantile
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "value"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "value"])
     out = filter_by_quantile(ev, "value", EVENTS_VALUE_Q, keep="ge")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "value": pa.array(_r4(t["value"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "value": pa.float64()}),
+                r4=["value"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -2639,12 +2214,9 @@ KMEANS_K = 8
 def _kmeans_cent_ref(sf_dir: str):
     """Deterministic k-means seed centroids: embeddings of the
     KMEANS_K smallest vec_ids (what `kmeans_init` computes)."""
-    import ray.data as rd
-
     from ..stages.similarity import kmeans_init
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
+    emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return emb, kmeans_init(emb, KMEANS_K)
 
 
@@ -2692,10 +2264,10 @@ def q_kmeans_step(sf_dir: str):
         import pyarrow.compute as pc
 
         if t.num_rows == 0:
-            return pa.table({"cluster": pa.array([], pa.int64()),
-                             "dim": pa.array([], pa.int64()),
-                             "mean": pa.array([], pa.float64()),
-                             "n": pa.array([], pa.int64())})
+            return pa.schema({"cluster": pa.int64(),
+                              "dim": pa.int64(),
+                              "mean": pa.float64(),
+                              "n": pa.int64()}).empty_table()
         m = _emb_matrix(t, "centroid")
         r, d = m.shape
         cl = pc.cast(t["cluster"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -2719,10 +2291,8 @@ def q_semdedup_survivors(sf_dir: str):
     one representative per duplicate component (the min vec_id, i.e.
     the node whose label equals itself) plus every un-paired vector.
     Returns the survivors as (vec_id, cluster)."""
-    from functools import partial
 
     import ray
-    import ray.data as rd
 
     from ..stages.dedup import connected_components
     from ..stages.join import sort_merge_join
@@ -2740,16 +2310,10 @@ def q_semdedup_survivors(sf_dir: str):
 
     pschema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
-    def fix_pairs(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pschema.empty_table()
-        return pa.table({"a": pc.cast(t["a"], pa.int64()),
-                         "b": pc.cast(t["b"], pa.int64())}, schema=pschema)
+    fix_pairs = shape(pschema)
 
     pairs = embedding_dup_pairs(
-        rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet")),
+        read_table(sf_dir, "embeddings"),
         threshold=EMB_DUP_THRESHOLD, num_hyperplanes=EMB_DUP_HYPERPLANES,
     ).map_batches(fix_pairs, batch_size=None, batch_format="pyarrow")
 
@@ -2887,7 +2451,7 @@ def q_click_view_range_join(sf_dir: str):
             "hi": pc.add(lo, pa.scalar(w_us, pa.int64())),
         })
 
-    ev = _events_ds(sf_dir)
+    ev = read_table(sf_dir, "events")
     clicks = ev.map_batches(prep_clicks, batch_format="pyarrow")
     views = ev.map_batches(prep_views, batch_format="pyarrow")
     out = range_join(
@@ -2910,7 +2474,7 @@ def q_clean_corpus(sf_dir: str):
     cleaning contract value-checked end to end against SQL."""
     from .clean import clean_corpus
 
-    return clean_corpus(_docs_ds(sf_dir))
+    return clean_corpus(read_table(sf_dir, "documents"))
 
 
 def q_pagerank(sf_dir: str):
@@ -4472,45 +4036,19 @@ def q_latest_order_per_customer(sf_dir: str):
     the per-batch prefilter bounds the shuffle at one row per
     (batch, customer), so the exchange is output-shaped regardless of
     how many versions a key has."""
-    import ray.data as rd
-
     from ..stages.aggregates import topk_per_group
 
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey",
+                                                   "o_orderdate", "o_totalprice"])
 
-    def prep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        od = t["o_orderdate"]
-        od = od.combine_chunks() if isinstance(od, pa.ChunkedArray) else od
-        return pa.table({
-            "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
-            "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-            "o_date_us": od.cast(pa.int64()),
-            "o_totalprice": pc.cast(t["o_totalprice"], pa.float64()),
-        })
-
+    o_schema = pa.schema([("o_custkey", pa.int64()), ("o_orderkey", pa.int64()),
+                          ("o_date_us", pa.int64()), ("o_totalprice", pa.float64())])
+    prep = shape(o_schema, rename={"o_date_us": "o_orderdate"})
     top = topk_per_group(
         orders.map_batches(prep, batch_format="pyarrow"),
         ["o_custkey"], "o_date_us", 1, descending=True,
-        tiebreak="o_orderkey",
-        in_schema=pa.schema([("o_custkey", pa.int64()),
-                             ("o_orderkey", pa.int64()),
-                             ("o_date_us", pa.int64()),
-                             ("o_totalprice", pa.float64())]))
-
-    def fix(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_custkey": t["o_custkey"],
-            "o_orderkey": t["o_orderkey"],
-            "o_date_us": t["o_date_us"],
-            "o_totalprice": pa.array(_r4(t["o_totalprice"].to_numpy(
-                zero_copy_only=False))),
-        })
-
-    return top.map_batches(fix, batch_format="pyarrow")
+        tiebreak="o_orderkey", in_schema=o_schema)
+    return top.map_batches(shape(o_schema, r4=["o_totalprice"]), batch_format="pyarrow")
 
 
 def q_user_value_znorm(sf_dir: str):
@@ -4528,7 +4066,7 @@ def q_user_value_znorm(sf_dir: str):
     ev = _events_cents(sf_dir)
 
     def prep(t: pa.Table) -> pa.Table:
-        c = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
+        c = _non_null_numpy(t, "cents").astype(np.int64)
         return pa.table({"user_id": t["user_id"],
                          "c": pa.array(c), "c2": pa.array(c * c)})
 
@@ -4577,26 +4115,18 @@ def q_search_facets(sf_dir: str):
     STREAMS through a per-batch Arrow hash semi-join, then one
     source-cardinality-bounded grouped count — no data-sized
     shuffle."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import broadcast_join
 
     hits = _ids_table(_searcher(sf_dir).search_keyword(KW))
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "source"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
     j = broadcast_join(docs, hits, "doc_id")
     agg = sorted_groupby_agg(
         j, ["source"], [("doc_id", "count", "n_hits")],
         in_schema=pa.schema([("doc_id", pa.int64()),
                              ("source", pa.string())]))
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"source": t["source"],
-                         "n_hits": pc.cast(t["n_hits"], pa.int64())})
-
+    fix = shape(pa.schema({"source": pa.string(), "n_hits": pa.int64()}))
     return agg.map_batches(fix, batch_format="pyarrow")
 
 
@@ -4686,16 +4216,13 @@ def q_lineitem_rollup(sf_dir: str):
     The data is touched once (one sorted grouped reduction); every
     coarser level re-aggregates the previous level's group-bounded
     output."""
-    import ray.data as rd
-
     from ..stages.aggregates import rollup_agg
 
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_returnflag", "l_linestatus",
-                                  "l_quantity"])
+    li = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus",
+                                                 "l_quantity"])
 
     def prep(t: pa.Table) -> pa.Table:
-        q = t["l_quantity"].to_numpy(zero_copy_only=False)
+        q = _non_null_numpy(t, "l_quantity")
         return pa.table({"l_returnflag": t["l_returnflag"],
                          "l_linestatus": t["l_linestatus"],
                          "qty": pa.array(q.astype(np.int64))})
@@ -4718,24 +4245,14 @@ def q_events_winsorized(sf_dir: str):
     METADATA (one block fetch per rank), then a pure broadcast clamp
     map.  Outputs are originals or exact quantile values, so the
     comparison is float-exact before the shared rounding."""
-    import ray.data as rd
-
     from ..stages.aggregates import clip_by_quantiles
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "value"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "value"])
     out = clip_by_quantiles(ev, "value", WINSOR_Q_LO, WINSOR_Q_HI,
                             out_col="value_w")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "value_w": pa.array(_r4(t["value_w"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"event_id": pa.int64(), "value_w": pa.float64()}),
+                r4=["value_w"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -4748,24 +4265,13 @@ def q_bigram_quality(sf_dir: str):
     corpus's own counts with a top-V bigram head and an OOV floor.
     Two vocabulary-sized count shuffles, a V-bounded broadcast, one
     vectorized scoring map."""
-    import ray.data as rd
-
     from ..stages.textstats import bigram_logprob
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = bigram_logprob(docs, top_v=BIGRAM_TOP_V, oov_count=0.5)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_bigrams": pc.cast(t["n_bigrams"], pa.int64()),
-            "logprob": pa.array(_r4(t["logprob"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_bigrams": pa.int64(),
+                           "logprob": pa.float64()}), r4=["logprob"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -4823,22 +4329,13 @@ def q_user_type_pivot(sf_dir: str):
     Per batch one bincount over a (batch-users × 5) plane, then one
     user-sorted grouped sum — the shuffle carries key partials, never
     events."""
-    import ray.data as rd
-
     from ..stages.aggregates import pivot_counts
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "event_type"])
     out = pivot_counts(ev, "user_id", "event_type", EVENT_TYPES)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cols = {"user_id": pc.cast(t["user_id"], pa.int64())}
-        for v in EVENT_TYPES:
-            cols[f"n_{v}"] = pc.cast(t[f"n_{v}"], pa.int64())
-        return pa.table(cols)
-
+    fix = shape(pa.schema([("user_id", pa.int64())]
+                          + [(f"n_{v}", pa.int64()) for v in EVENT_TYPES]))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -4846,26 +4343,14 @@ def q_doc_entropy(sf_dir: str):
     """Per-doc token-distribution Shannon entropy + type-token ratio —
     the lexical-diversity / boilerplate gate.  Pure per-batch map, no
     shuffle."""
-    import ray.data as rd
-
     from ..stages.textstats import token_entropy
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = token_entropy(docs)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
-            "n_distinct": pc.cast(t["n_distinct"], pa.int64()),
-            "entropy": pa.array(_r4(t["entropy"].to_numpy(
-                zero_copy_only=False))),
-            "ttr": pa.array(_r4(t["ttr"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_tokens": pa.int64(),
+                           "n_distinct": pa.int64(), "entropy": pa.float64(),
+                           "ttr": pa.float64()}), r4=["entropy", "ttr"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -4902,15 +4387,12 @@ def q_events_grouping_sets(sf_dir: str):
     user, string type) through the null-safe pair encoding."""
     from ..stages.aggregates import grouping_sets_agg
 
-    import ray.data as rd
-
-    raw = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                          columns=["user_id", "event_type", "value"])
+    raw = read_table(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
     def prep2(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "user_id": pc.cast(t["user_id"], pa.int64()),
             "event_type": t["event_type"],
@@ -4930,16 +4412,13 @@ def q_events_grouping_sets(sf_dir: str):
 def q_lineitem_cube(sf_dir: str):
     """SQL GROUP BY CUBE(l_returnflag, l_linestatus): all four grouping
     sets from one data-sized exchange, GROUPING bitmask in lvl."""
-    import ray.data as rd
-
     from ..stages.aggregates import cube_agg
 
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_returnflag", "l_linestatus",
-                                  "l_quantity"])
+    li = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus",
+                                                 "l_quantity"])
 
     def prep(t: pa.Table) -> pa.Table:
-        q = t["l_quantity"].to_numpy(zero_copy_only=False)
+        q = _non_null_numpy(t, "l_quantity")
         return pa.table({"l_returnflag": t["l_returnflag"],
                          "l_linestatus": t["l_linestatus"],
                          "qty": pa.array(q.astype(np.int64))})
@@ -4984,18 +4463,13 @@ def q_top_terms_per_source(sf_dir: str):
     (topk_per_group needs a NUMERIC tiebreak; md5-low-64 of the token
     is injective on distinct tokens up to hash collisions, which the
     oracle replays exactly)."""
-    import ray.data as rd
-
     from ..functions.hashing import md5_low64_batch
     from ..stages.aggregates import sorted_groupby_agg, topk_per_group
     from ..stages.textstats import _split_tokens
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text", "source"])
+    docs = read_table(sf_dir, "documents", columns=["text", "source"])
 
     def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         content = t["text"]
         if isinstance(content, pa.ChunkedArray):
             content = content.combine_chunks()
@@ -5004,13 +4478,13 @@ def q_top_terms_per_source(sf_dir: str):
             else src
         parents, values = _split_tokens(content)
         if len(values) == 0:
-            return pa.table({"source": pa.array([], pa.string()),
-                             "token": pa.array([], pa.large_string()),
-                             "cnt": pa.array([], pa.int64())})
+            return pa.schema({"source": pa.string(),
+                              "token": pa.large_string(),
+                              "cnt": pa.int64()}).empty_table()
         sd = src.take(pa.array(parents)).dictionary_encode()
-        scodes = sd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        scodes = _codes(sd)
         td = values.dictionary_encode()
-        tcodes = td.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        tcodes = _codes(td)
         card = len(td.dictionary)
         comp = scodes * card + tcodes
         uniq, cnt = np.unique(comp, return_counts=True)
@@ -5046,13 +4520,8 @@ def q_top_terms_per_source(sf_dir: str):
                              ("cnt", pa.int64()),
                              ("_tb", pa.int64())]))
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"source": t["source"],
-                         "token": pc.cast(t["token"], pa.string()),
-                         "cnt": pc.cast(t["cnt"], pa.int64())})
-
+    fix = shape(pa.schema({"source": pa.string(), "token": pa.string(),
+                           "cnt": pa.int64()}))
     return top.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5082,16 +4551,11 @@ def q_corr_qty_price(sf_dir: str):
     float expression is the identical IEEE formula on both sides —
     deliberately NOT DuckDB's corr() accumulator, whose running-update
     float path differs between engines."""
-    import ray.data as rd
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_quantity", "l_extendedprice"])
+    li = read_table(sf_dir, "lineitem", columns=["l_quantity", "l_extendedprice"])
 
     def moments(t: pa.Table) -> pa.Table:
-        x = t["l_quantity"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        y = np.floor(t["l_extendedprice"].to_numpy(
-            zero_copy_only=False) * 100).astype(np.int64)
+        x = _non_null_numpy(t, "l_quantity").astype(np.int64)
+        y = np.floor(_non_null_numpy(t, "l_extendedprice") * 100).astype(np.int64)
         return pa.table({
             "n": pa.array([np.int64(len(x))]),
             "sx": pa.array([x.sum()]), "sy": pa.array([y.sum()]),
@@ -5121,12 +4585,9 @@ def q_events_mad(sf_dir: str):
     statistic: two metadata-located quantile passes (median of v, then
     median of |v - med|), each one range sort with one block fetch per
     rank, nothing driver-materialized."""
-    import ray.data as rd
-
     from ..stages.aggregates import global_quantiles
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["value"])
+    ev = read_table(sf_dir, "events", columns=["value"])
     med = global_quantiles(ev, "value", [MAD_CENTER_Q])["value"][0].as_py()
 
     def dev(t: pa.Table) -> pa.Table:
@@ -5290,13 +4751,10 @@ def q_langid_confusion(sf_dir: str):
     per batch with the label riding along, then the crosstab's
     bincount-plane partials — the shuffle carries (labels × preds)
     partial rows, never documents."""
-    import ray.data as rd
-
     from ..stages.aggregates import pivot_counts
     from ..stages.textstats import langid_batch
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
     def pred(t: pa.Table) -> pa.Table:
         out = langid_batch(t)
@@ -5310,14 +4768,8 @@ def q_langid_confusion(sf_dir: str):
                            ("marker_hits", pa.int64()),
                            ("lang", pa.string())]))
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cols = {"lang": t["lang"]}
-        for v in LANGID_PREDS:
-            cols[f"n_{v}"] = pc.cast(t[f"n_{v}"], pa.int64())
-        return pa.table(cols)
-
+    fix = shape(pa.schema([("lang", pa.string())]
+                          + [(f"n_{v}", pa.int64()) for v in LANGID_PREDS]))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5344,12 +4796,9 @@ def q_curation_funnel(sf_dir: str):
     gate (prefix-AND counts, one row).  One streaming pass: per-batch
     boolean gates -> four int partials per batch to the driver; no
     shuffle."""
-    import ray.data as rd
-
     from ..stages.textstats import _split_tokens, langid_batch
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "n_chars"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
 
     def gates(t: pa.Table) -> pa.Table:
         pred = langid_batch(t)["pred_lang"].to_numpy(zero_copy_only=False)
@@ -5407,13 +4856,10 @@ def q_weekly_cohorts(sf_dir: str):
     the cohort assignment; ONE user-keyed sort-merge join (user-scale
     on both sides — a broadcast would NOT be bounded at real user
     counts); one grouped count over the already-distinct pairs."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     def weeks(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -5451,24 +4897,13 @@ def q_value_histogram(sf_dir: str):
     """Equi-width 64-bin histogram of events.value — the distribution
     TABLE itself (bucket, IEEE-exact edges, count); bins-sized shuffle
     regardless of data size."""
-    import ray.data as rd
-
     from ..stages.aggregates import value_histogram
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["value"])
+    ev = read_table(sf_dir, "events", columns=["value"])
     out = value_histogram(ev, "value", bins=VALUE_HIST_BINS)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "bucket": pc.cast(t["bucket"], pa.int64()),
-            "lo": pa.array(_r4(t["lo"].to_numpy(zero_copy_only=False))),
-            "hi": pa.array(_r4(t["hi"].to_numpy(zero_copy_only=False))),
-            "cnt": pc.cast(t["cnt"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"bucket": pa.int64(), "lo": pa.float64(), "hi": pa.float64(),
+                           "cnt": pa.int64()}), r4=["lo", "hi"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5519,19 +4954,12 @@ def q_window_value_p95(sf_dir: str):
             "value": pc.cast(t["value"], pa.float64()),
         })
 
-    ds = _events_ds(sf_dir).map_batches(bucket, batch_format="pyarrow")
+    ds = read_table(sf_dir, "events").map_batches(bucket, batch_format="pyarrow")
     out = quantile_per_group(ds, ["window_start_us"], "value",
                              [0.5, 0.95])
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "window_start_us": pc.cast(t["window_start_us"], pa.int64()),
-            "q5": pa.array(_r4(t["q5"].to_numpy(zero_copy_only=False))),
-            "q95": pa.array(_r4(t["q95"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"window_start_us": pa.int64(), "q5": pa.float64(),
+                           "q95": pa.float64()}), r4=["q5", "q95"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5548,13 +4976,10 @@ def q_source_temperature_mix(sf_dir: str):
     a rates dict built driver-side (sqrt + division — IEEE-exact,
     SQL-replayable), then the content-addressed `sample_fraction`
     map — every keep/drop decision replays in SQL."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.sampling import sample_fraction
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     cnt_rows = sorted_groupby_agg(
         docs, ["lang"], [("doc_id", "count", "n")]).take_all()
     counts = {r["lang"]: int(r["n"]) for r in cnt_rows}
@@ -5574,23 +4999,13 @@ def q_group_hash_split(sf_dir: str):
     split (near-duplicates within a domain can't straddle train/test).
     Same content-addressed machinery as hash_split, keyed on the group
     column."""
-    import ray.data as rd
-
     from ..stages.sampling import hash_split
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "source"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
     out = hash_split(docs, text_col="source")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "bucket": pc.cast(t["bucket"], pa.int64()),
-            "split": t["split"],
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "bucket": pa.int64(),
+                           "split": pa.string()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5640,13 +5055,10 @@ def q_split_leakage(sf_dir: str):
     hash-sort plan as the dup-passage family with a probe/reference
     asymmetry; the only data-sized exchange is the uint64 gram-hash
     sort."""
-    import ray.data as rd
-
     from ..functions.hashing import md5_low64_batch
     from ..stages.dedup import cross_split_gram_stats
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "source"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "source"])
 
     def assign(t: pa.Table) -> pa.Table:
         src = t["source"]
@@ -5665,17 +5077,9 @@ def q_split_leakage(sf_dir: str):
     ds = docs.map_batches(assign, batch_format="pyarrow")
     out = cross_split_gram_stats(ds, n=SPLIT_LEAK_N)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_grams": pc.cast(t["n_grams"], pa.int64()),
-            "n_leaked": pc.cast(t["n_leaked"], pa.int64()),
-            "leak_frac": pa.array(_r4(t["leak_frac"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_grams": pa.int64(),
+                           "n_leaked": pa.int64(), "leak_frac": pa.float64()}),
+                r4=["leak_frac"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5727,24 +5131,13 @@ def q_doc_sim_pairs(sf_dir: str):
     the df cap), never an all-pairs scan; per-doc L2 norms run over the
     FULL vocabulary.  Output: every unordered pair sharing >= 1 rare
     term with its partial cosine."""
-    import ray.data as rd
-
     from ..stages.sparse_sim import tfidf_doc_pairs
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = tfidf_doc_pairs(docs, df_frac=DOC_SIM_DF_FRAC)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "a": pc.cast(t["a"], pa.int64()),
-            "b": pc.cast(t["b"], pa.int64()),
-            "n_shared": pc.cast(t["n_shared"], pa.int64()),
-            "sim": pa.array(_r4(t["sim"].to_numpy(zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "n_shared": pa.int64(),
+                           "sim": pa.float64()}), r4=["sim"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -5782,12 +5175,9 @@ def q_embedding_quantized(sf_dir: str):
     fused floor/clip map per batch — exploded to (vec_id, dim, q)
     rows whose integer codes the oracle replays exactly (every step
     is order-independent IEEE float64)."""
-    import ray.data as rd
-
     from ..stages.quantize import embedding_minmax, quantize_embeddings
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
+    emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     mn, mx = embedding_minmax(emb)
     out = quantize_embeddings(emb, mn, mx, bits=QUANT_BITS)
 
@@ -5795,15 +5185,15 @@ def q_embedding_quantized(sf_dir: str):
         import pyarrow.compute as pc
 
         if t.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "dim": pa.array([], pa.int64()),
-                             "q": pa.array([], pa.int64())})
+            return pa.schema({"vec_id": pa.int64(),
+                              "dim": pa.int64(),
+                              "q": pa.int64()}).empty_table()
         col = t["q"].combine_chunks() if isinstance(t["q"], pa.ChunkedArray) \
             else t["q"]
         parents = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
         offs = col.offsets.to_numpy(zero_copy_only=False)
         dims = np.arange(len(parents), dtype=np.int64) - offs[parents] + 1
-        ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = _non_null_numpy(t, "vec_id").astype(np.int64)
         return pa.table({"vec_id": pa.array(ids[parents]),
                          "dim": pa.array(dims),
                          "q": col.values})
@@ -5880,13 +5270,10 @@ def q_events_props_k(sf_dir: str):
     extracted value — the standard first step of event-log ETL.
     Output: per event_type (n, sum_k, avg_k) plus the per-row k spot
     check via min/max."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.semistructured import json_int_field
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "event_type", "props"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "event_type", "props"])
     ext = json_int_field(ev, field="k").select_columns(
         ["event_type", "k"])
     agg = sorted_groupby_agg(
@@ -5902,12 +5289,12 @@ def q_events_props_k(sf_dir: str):
         import pyarrow.compute as pc
 
         if t.num_rows == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "sum_k": pa.array([], pa.int64()),
-                             "min_k": pa.array([], pa.int64()),
-                             "max_k": pa.array([], pa.int64()),
-                             "avg_k": pa.array([], pa.float64())})
+            return pa.schema({"event_type": pa.string(),
+                              "n": pa.int64(),
+                              "sum_k": pa.int64(),
+                              "min_k": pa.int64(),
+                              "max_k": pa.int64(),
+                              "avg_k": pa.float64()}).empty_table()
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
         s = t["sum_k"].to_numpy(zero_copy_only=False).astype(np.float64)
         return pa.table({
@@ -5944,15 +5331,12 @@ def q_window_top_props(sf_dir: str):
     map) -> grouped count (batch-combined partials) -> topk_per_group
     (local top-k prefilter, output-shaped shuffle).  The per-window
     'what is hot right now' report every event pipeline runs."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg, topk_per_group
     from ..stages.semistructured import json_int_field
     from ..stages.windows import _ts_us
 
     w = WINDOW_WIDTH_S * 1_000_000
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "props"])
+    ev = read_table(sf_dir, "events", columns=["ts", "props"])
 
     def bucket(t: pa.Table) -> pa.Table:
         us = _ts_us(t, "ts")
@@ -5975,15 +5359,8 @@ def q_window_top_props(sf_dir: str):
         in_schema=pa.schema([("window_start_us", pa.int64()),
                              ("k", pa.int64()), ("n", pa.int64())]))
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "window_start_us": pc.cast(t["window_start_us"], pa.int64()),
-            "k": pc.cast(t["k"], pa.int64()),
-            "n": pc.cast(t["n"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"window_start_us": pa.int64(), "k": pa.int64(),
+                           "n": pa.int64()}))
     return top.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6012,12 +5389,9 @@ def q_quality_gate(sf_dir: str):
     pass per batch, reported as a reasons bitmask + keep flag — the
     filter battery refined-web curation actually runs, with no float
     threshold boundary anywhere."""
-    import ray.data as rd
-
     from ..stages.textstats import quality_gate_batch
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def fix(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -6088,18 +5462,11 @@ def q_dedup_incremental(sf_dir: str):
     from ..stages.dedup import incremental_dedup_drops
 
     out = incremental_dedup_drops(
-        _docs_ds(sf_dir),
+        read_table(sf_dir, "documents"),
         new_pred=lambda ids: (ids % INCR_NEW_MOD) == INCR_NEW_RES,
         threshold=INCR_THRESHOLD)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_matches": pc.cast(t["n_matches"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_matches": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6134,25 +5501,14 @@ def q_search_snippets(sf_dir: str):
     of a serving stack, as ONE vectorized pure map (the optimum window
     starts at a hit, so one searchsorted per batch scores every
     candidate)."""
-    import ray.data as rd
-
     from ..stages.textstats import best_window_snippets
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = best_window_snippets(docs, SNIPPET_TERMS,
                                window=SNIPPET_WINDOW)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "start": pc.cast(t["start"], pa.int64()),
-            "n_hits": pc.cast(t["n_hits"], pa.int64()),
-            "snippet": pc.cast(t["snippet"], pa.string()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "start": pa.int64(),
+                           "n_hits": pa.int64(), "snippet": pa.string()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6250,14 +5606,10 @@ def q_event_transitions(sf_dir: str):
     Arrow-take shift — then one grouped count over (prev, next).  The
     empirical transition model every sessionized-behavior analysis
     starts from."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import lag_column
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
     lagged = lag_column(ev, value_col="event_type",
                         order_by=["ts", "event_id"], key_col="user_id",
                         out_col="prev_type")
@@ -6265,9 +5617,9 @@ def q_event_transitions(sf_dir: str):
     def pairs(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        empty = pa.table({"prev_type": pa.array([], pa.string()),
-                          "event_type": pa.array([], pa.string()),
-                          "one": pa.array([], pa.int64())})
+        empty = pa.schema({"prev_type": pa.string(),
+                           "event_type": pa.string(),
+                           "one": pa.int64()}).empty_table()
         if t.num_rows == 0 or "prev_type" not in t.column_names:
             return empty
         keep = pc.is_valid(t["prev_type"])
@@ -6286,15 +5638,8 @@ def q_event_transitions(sf_dir: str):
                              ("event_type", pa.string()),
                              ("one", pa.int64())]))
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "prev_type": pc.cast(t["prev_type"], pa.string()),
-            "event_type": pc.cast(t["event_type"], pa.string()),
-            "n": pc.cast(t["n"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"prev_type": pa.string(), "event_type": pa.string(),
+                           "n": pa.int64()}))
     return agg.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6318,23 +5663,13 @@ def q_funnel_vcp(sf_dir: str):
     greedy-earliest completion depth and the completing step's
     timestamp — k chained type-filtered grouped MINs joined user-sized
     (never event-sized), assembled by one encoded grouped max."""
-    import ray.data as rd
-
     from ..stages.windows import funnel_depths
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "user_id", "event_type"])
+    ev = read_table(sf_dir, "events", columns=["ts", "user_id", "event_type"])
     out = funnel_depths(ev, FUNNEL_STEPS)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "depth": pc.cast(t["depth"], pa.int64()),
-            "last_ts_us": pc.cast(t["last_ts_us"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"user_id": pa.int64(), "depth": pa.int64(),
+                           "last_ts_us": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6371,25 +5706,13 @@ def q_fuzzy_name_pairs(sf_dir: str):
     vectorized Arrow passes — never an all-pairs scan), one variant
     sort groups candidates, a pair-sort dedupe, then the exact
     edit-distance check on the output-shaped candidate set only."""
-    import ray.data as rd
-
     from ..stages.fuzzy import fuzzy_pairs_edit1
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_name"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
     out = fuzzy_pairs_edit1(cust, name_col="c_name", id_col="c_custkey")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "a": pc.cast(t["a"], pa.int64()),
-            "b": pc.cast(t["b"], pa.int64()),
-            "name_a": pc.cast(t["name_a"], pa.string()),
-            "name_b": pc.cast(t["name_b"], pa.string()),
-            "dist": pc.cast(t["dist"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "name_a": pa.string(),
+                           "name_b": pa.string(), "dist": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6555,34 +5878,15 @@ def q_dedup_containment(sf_dir: str):
         verify_pairs_containment,
     )
 
-    docs = _docs_ds(sf_dir)
+    docs = read_table(sf_dir, "documents")
     pairs, _ = minhash_candidate_pairs(
         docs.select_columns(["doc_id", "text"]))
     out = verify_pairs_containment(docs, pairs)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "a" not in t.column_names:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "size_a": pa.array([], pa.int64()),
-                             "size_b": pa.array([], pa.int64()),
-                             "inter_n": pa.array([], pa.int64()),
-                             "jaccard": pa.array([], pa.float64()),
-                             "containment": pa.array([], pa.float64())})
-        return pa.table({
-            "a": pc.cast(t["a"], pa.int64()),
-            "b": pc.cast(t["b"], pa.int64()),
-            "size_a": pc.cast(t["size_a"], pa.int64()),
-            "size_b": pc.cast(t["size_b"], pa.int64()),
-            "inter_n": pc.cast(t["inter_n"], pa.int64()),
-            "jaccard": pa.array(_r4(t["jaccard"].to_numpy(
-                zero_copy_only=False))),
-            "containment": pa.array(_r4(t["containment"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "size_a": pa.int64(),
+                           "size_b": pa.int64(), "inter_n": pa.int64(),
+                           "jaccard": pa.float64(), "containment": pa.float64()}),
+                r4=["jaccard", "containment"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6599,22 +5903,12 @@ def q_weighted_sample_n(sf_dir: str):
     ln(u)/n_chars keys — longer docs proportionally likelier, row
     count exact, re-shard stable; local top-n prefilter bounds the
     exchange at n per batch."""
-    import ray.data as rd
-
     from ..stages.sampling import weighted_sample_exact_n
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "n_chars"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
     out = weighted_sample_exact_n(docs, WSAMPLE_N, "n_chars")
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_chars": pc.cast(t["n_chars"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_chars": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6641,25 +5935,14 @@ def q_rolling_range_user_value(sf_dir: str):
     population (rows-carry windows can't bound a time frame; this
     resolves the frame start via an as-of lookup against running
     prefix sums — 2 sorts, O(num_blocks) driver scalars)."""
-    import ray.data as rd
-
     from ..stages.scan import range_rolling_agg
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
     out = range_rolling_agg(ev, key_col="user_id", ts_col="ts",
                             value_col="value", window_s=RANGE_WIN_S)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "user_id": pc.cast(t["user_id"], pa.int64()),
-            "ts_us": pc.cast(t["ts_us"], pa.int64()),
-            "win_sum": pc.cast(t["win_sum"], pa.float64()),
-            "win_cnt": pc.cast(t["win_cnt"], pa.int64()),
-        })
-
+    fix = shape(pa.schema({"user_id": pa.int64(), "ts_us": pa.int64(),
+                           "win_sum": pa.float64(), "win_cnt": pa.int64()}))
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -6693,12 +5976,9 @@ def q_ewma_user_value(sf_dir: str):
     three IEEE ops (0.75*acc + 0.25*v) per row; alpha=0.25 so
     alpha + (1-alpha) == 1.0 exactly (pandas' normalizing divide is
     a no-op)."""
-    import ray.data as rd
-
     from ..stages.scan import ewma_column
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id", "value"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
     out = ewma_column(ev, value_col="value", order_by=["ts", "event_id"],
                       key_col="user_id", alpha=EWMA_ALPHA, out_col="ewma")
 
@@ -6805,10 +6085,8 @@ def q_clustering_coeff(sf_dir: str):
     edges = rd.from_arrow(pa.table({"src": pa.array(src),
                                     "dst": pa.array(dst)}))
 
-    def rnd(t: pa.Table) -> pa.Table:
-        return t.set_column(t.schema.get_field_index("lcc"), "lcc",
-                            pa.array(_r4(t["lcc"].to_numpy(
-                                zero_copy_only=False))))
+    rnd = shape(pa.schema({"node": pa.int64(), "deg": pa.int64(),
+                           "triangles": pa.int64(), "lcc": pa.float64()}), r4=["lcc"])
 
     return local_clustering(edges, partitions=4).map_batches(
         rnd, batch_format="pyarrow")
@@ -6858,25 +6136,19 @@ def q_item_cooccurrence(sf_dir: str):
     users only, so cosine/jaccard stay <= 1.  Both scores are two IEEE
     float64 ops the oracle replays verbatim, rounded half-up to 4
     decimals on BOTH sides."""
-    import ray.data as rd
-
     from ..stages.cooccur import cooccurrence_pairs
     from ..stages.semistructured import json_int_field
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "props"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "props"])
     ev = json_int_field(ev, field="k", out_col="item")
     pairs = cooccurrence_pairs(ev, min_count=COOC_MIN_COUNT,
                                max_user_items=COOC_MAX_USER_ITEMS,
                                partitions=4)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        for c in ("cosine", "jaccard"):
-            t = t.set_column(t.schema.get_field_index(c), c,
-                             pa.array(_r4(t[c].to_numpy(
-                                 zero_copy_only=False))))
-        return t
-
+    rnd = shape(pa.schema({"item_a": pa.int64(), "item_b": pa.int64(),
+                           "n_pair": pa.int64(), "n_a": pa.int64(), "n_b": pa.int64(),
+                           "cosine": pa.float64(), "jaccard": pa.float64()}),
+                r4=["cosine", "jaccard"])
     return pairs.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -6980,11 +6252,9 @@ def q_link_prediction(sf_dir: str):
                                     "dst": pa.array(dst)}))
     pairs = common_neighbor_pairs(edges, min_common=2, partitions=4)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        return t.set_column(t.schema.get_field_index("jaccard"), "jaccard",
-                            pa.array(_r4(t["jaccard"].to_numpy(
-                                zero_copy_only=False))))
-
+    rnd = shape(pa.schema({"x": pa.int64(), "y": pa.int64(), "common": pa.int64(),
+                           "deg_x": pa.int64(), "deg_y": pa.int64(),
+                           "jaccard": pa.float64()}), r4=["jaccard"])
     return pairs.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -7080,14 +6350,11 @@ def q_item_similar_topk(sf_dir: str):
     same 4-decimal value both engines print) with ascending partner id
     as the tiebreak, so the kept set is deterministic across
     engines."""
-    import ray.data as rd
-
     from ..stages.aggregates import topk_per_group
     from ..stages.cooccur import cooccurrence_pairs
     from ..stages.semistructured import json_int_field
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "props"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "props"])
     ev = json_int_field(ev, field="k", out_col="item")
     pairs = cooccurrence_pairs(ev, min_count=COOC_MIN_COUNT,
                                max_user_items=COOC_MAX_USER_ITEMS,
@@ -7172,13 +6439,10 @@ def q_adamic_adar(sf_dir: str):
     pairs = common_neighbor_pairs(edges, min_common=2, adamic_adar=True,
                                   partitions=4)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        for c in ("jaccard", "aa"):
-            t = t.set_column(t.schema.get_field_index(c), c,
-                             pa.array(_r4(t[c].to_numpy(
-                                 zero_copy_only=False))))
-        return t
-
+    rnd = shape(pa.schema({"x": pa.int64(), "y": pa.int64(), "common": pa.int64(),
+                           "deg_x": pa.int64(), "deg_y": pa.int64(),
+                           "jaccard": pa.float64(), "aa_fx": pa.int64(),
+                           "aa": pa.float64()}), r4=["jaccard", "aa"])
     return pairs.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -7364,14 +6628,14 @@ def q_feature_prop(sf_dir: str):
     key = np.unique(src[keep] * n + dst[keep])
     edges = rd.from_arrow(pa.table({"src": pa.array(key // n),
                                     "dst": pa.array(key % n)}))
-    feats = rd.read_parquet(path, columns=["vec_id", "embedding"])
+    feats = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = feature_propagation(feats, edges, rounds=2)
 
     def explode(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "dim": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.float64())})
+            return pa.schema({"node": pa.int64(),
+                              "dim": pa.int64(),
+                              "val": pa.float64()}).empty_table()
         m = _emb_matrix(t, "embedding")
         node = t["node"].to_numpy(zero_copy_only=False)
         d = m.shape[1]
@@ -7416,19 +6680,16 @@ def q_embedding_projected(sf_dir: str):
     md5_number_lower in SQL), y = x @ R / sqrt(8) — exploded to
     (node, odim, val) with the 4dp half-up gate (the matmul sum order
     is IEEE-arbitrary on both sides, the embedding_cov contract)."""
-    import ray.data as rd
-
     from ..stages.similarity import _emb_matrix, random_sign_projection
 
-    feats = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                            columns=["vec_id", "embedding"])
+    feats = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = random_sign_projection(feats, 8)
 
     def explode(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "odim": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.float64())})
+            return pa.schema({"node": pa.int64(),
+                              "odim": pa.int64(),
+                              "val": pa.float64()}).empty_table()
         m = _emb_matrix(t, "proj")
         node = t["vec_id"].to_numpy(zero_copy_only=False)
         k = m.shape[1]
@@ -7535,34 +6796,18 @@ def q_dedup_keep_best(sf_dir: str):
     winner). Composition of three ★-tested operators; all-integer
     decision, exactly replayable."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.dedup import near_dup_clusters
     from ..stages.join import sort_merge_join
     from ..stages.aggregates import topk_per_group
 
-    clusters = near_dup_clusters(_docs_ds(sf_dir),
-                                 threshold=DEDUP_CLUSTER_THRESHOLD)
-
-    def fix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.column_names:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "component": pa.array([], pa.int64())})
-        return pa.table({"node": pc.cast(t["node"], pa.int64()),
-                         "component": pc.cast(t["component"], pa.int64())})
-
-    clusters = clusters.map_batches(fix, batch_format="pyarrow")
     cl_schema = pa.schema([("node", pa.int64()), ("component", pa.int64())])
-
-    lens = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "n_chars"])
-
-    def cast_lens(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()),
-                         "n_chars": pc.cast(t["n_chars"], pa.int64())})
-
-    lens = lens.map_batches(cast_lens, batch_format="pyarrow")
+    clusters = near_dup_clusters(read_table(sf_dir, "documents"),
+                                 threshold=DEDUP_CLUSTER_THRESHOLD) \
+        .map_batches(shape(cl_schema), batch_format="pyarrow")
     len_schema = pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())])
+    lens = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"]) \
+        .map_batches(shape(len_schema), batch_format="pyarrow")
 
     m = sort_merge_join(clusters, lens, on="node", right_on="doc_id",
                         how="inner", left_schema=cl_schema,
@@ -7573,25 +6818,18 @@ def q_dedup_keep_best(sf_dir: str):
                              descending=True, tiebreak="node",
                              in_schema=m_schema)
 
-    def w_sel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "component" not in t.column_names:
-            return pa.table({"component": pa.array([], pa.int64()),
-                             "winner": pa.array([], pa.int64())})
-        return pa.table({"component": t["component"], "winner": t["node"]})
-
-    w = winners.map_batches(w_sel, batch_format="pyarrow")
+    w_schema = pa.schema([("component", pa.int64()), ("winner", pa.int64())])
+    w = winners.map_batches(shape(w_schema, rename={"winner": "node"}),
+                            batch_format="pyarrow")
     j = sort_merge_join(m, w, on="component", how="inner",
-                        left_schema=m_schema,
-                        right_schema=pa.schema([("component", pa.int64()),
-                                                ("winner", pa.int64())]),
+                        left_schema=m_schema, right_schema=w_schema,
                         partitions=4)
+    out_schema = pa.schema([("doc_id", pa.int64()), ("component", pa.int64()),
+                            ("n_chars", pa.int64()), ("keep", pa.bool_())])
 
     def out(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "node" not in t.column_names:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "component": pa.array([], pa.int64()),
-                             "n_chars": pa.array([], pa.int64()),
-                             "keep": pa.array([], pa.bool_())})
+            return out_schema.empty_table()
         return pa.table({"doc_id": t["node"], "component": t["component"],
                          "n_chars": t["n_chars"],
                          "keep": pc.equal(t["node"], t["winner"])})
@@ -7755,15 +6993,11 @@ def q_source_vocab_overlap(sf_dir: str):
     rounded half-up to 4dp on both sides."""
     from ..stages.textstats import source_vocab_overlap
 
-    out = source_vocab_overlap(_docs_ds(sf_dir))
+    out = source_vocab_overlap(read_table(sf_dir, "documents"))
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        j = _r4(t["jaccard"].to_numpy(zero_copy_only=False))
-        return t.set_column(t.schema.get_field_index("jaccard"),
-                            "jaccard", pa.array(j))
-
+    rnd = shape(pa.schema({"a": pa.string(), "b": pa.string(), "inter": pa.int64(),
+                           "n_a": pa.int64(), "n_b": pa.int64(),
+                           "jaccard": pa.float64()}), r4=["jaccard"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -7806,12 +7040,9 @@ def _linear_stats_query(key_col: str):
     intercept / corr rounded half-up to 4dp on both sides;
     constant-y groups keep corr NULL."""
     def q(sf_dir: str):
-        import ray.data as rd
-
         from ..stages.stats import grouped_linear_stats
 
-        ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                             columns=[key_col, "ts", "value"])
+        ds = read_table(sf_dir, "events", columns=[key_col, "ts", "value"])
 
         def derive(t: pa.Table) -> pa.Table:
             ts = t["ts"].combine_chunks() \
@@ -7881,15 +7112,11 @@ def q_source_token_entropy(sf_dir: str):
     4dp on both sides."""
     from ..stages.textstats import group_token_entropy
 
-    out = group_token_entropy(_docs_ds(sf_dir))
+    out = group_token_entropy(read_table(sf_dir, "documents"))
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        e = _r4(t["entropy"].to_numpy(zero_copy_only=False))
-        return t.set_column(t.schema.get_field_index("entropy"),
-                            "entropy", pa.array(e))
-
+    rnd = shape(pa.schema({"source": pa.string(), "n_tokens": pa.int64(),
+                           "vocab": pa.int64(), "entropy": pa.float64()}),
+                r4=["entropy"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -7928,21 +7155,14 @@ def q_cohort_retention(sf_dir: str):
     (stages/behavior.py: cohort_retention): buckets are exact int64
     epoch_us // (7d in µs) on both sides, retained/cohort exact
     counts, rate the single 4dp-gated IEEE division."""
-    import ray.data as rd
-
     from ..stages.behavior import cohort_retention
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     out = cohort_retention(ds, bucket_s=7 * 86400)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        r = _r4(t["rate"].to_numpy(zero_copy_only=False))
-        return t.set_column(t.schema.get_field_index("rate"),
-                            "rate", pa.array(r))
-
+    rnd = shape(pa.schema({"week": pa.int64(), "delta": pa.int64(),
+                           "retained": pa.int64(), "cohort": pa.int64(),
+                           "rate": pa.float64()}), r4=["rate"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -7969,12 +7189,9 @@ def q_funnel_strict(sf_dir: str):
     enough that the funnel actually discriminates at sf0.01: 56/19/3
     users).  All-integer decisions; the SQL oracle replays the chain
     with two joins."""
-    import ray.data as rd
-
     from ..stages.behavior import funnel_counts
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
     def cut(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -8023,22 +7240,15 @@ def q_setsim_join_exact(sf_dir: str):
     candidate path.  Set elements are trigram md5-low-64 hashes (the
     `dup_passages` convention), every pruning and the keep decision
     integer arithmetic, jaccard the single 4dp-gated IEEE division."""
-    import ray.data as rd
-
     from ..stages.setsim import prefix_jaccard_join
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = prefix_jaccard_join(docs, threshold=(_SETSIM_NUM, _SETSIM_DEN),
                               shingle_k=_SETSIM_K)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        r = _r4(t["jaccard"].to_numpy(zero_copy_only=False))
-        return t.set_column(t.schema.get_field_index("jaccard"),
-                            "jaccard", pa.array(r))
-
+    rnd = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "inter_n": pa.int64(),
+                           "union_n": pa.int64(), "jaccard": pa.float64()}),
+                r4=["jaccard"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8071,12 +7281,9 @@ def q_event_pair_support(sf_dir: str):
     type_a event STRICTLY before a type_b event, via the all-integer
     min/max formulation — one activity-sized grouped min/max, one
     user range sort with a |types|²-bounded sweep, one pair count."""
-    import ray.data as rd
-
     from ..stages.behavior import event_pair_support
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     return event_pair_support(ds)
 
 
@@ -8097,22 +7304,14 @@ def q_profile_events(sf_dir: str):
     """Single-pass table profile of the event log (stages/profile.py:
     profile_table): per column n / nulls / exact distinct (md5-low-64
     plane, SQL-replayable) / numeric-temporal min-max, 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.profile import profile_table
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"))
+    ds = read_table(sf_dir, "events")
     out = profile_table(ds)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        for name in ("min_v", "max_v"):
-            v = t[name].to_numpy(zero_copy_only=False)
-            t = t.set_column(t.schema.get_field_index(name), name,
-                             pa.array(_r4(v)))
-        return t
-
+    rnd = shape(pa.schema({"column": pa.string(), "n": pa.int64(), "nulls": pa.int64(),
+                           "n_distinct": pa.int64(), "min_v": pa.float64(),
+                           "max_v": pa.float64()}), r4=["min_v", "max_v"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8206,19 +7405,16 @@ def q_events_pareto(sf_dir: str):
     pareto_frontier): events not dominated under (maximize integer
     cents, minimize epoch µs) — the 'highest value, seen earliest'
     frontier; all-integer comparisons, NOT EXISTS oracle."""
-    import ray.data as rd
-
     from ..stages.skyline import pareto_frontier
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "ts", "value"])
 
     def proj(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.schema([("event_id", pa.int64()),
                               ("cents", pa.int64()),
                               ("us", pa.int64())]).empty_table()
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         ts = t["ts"].combine_chunks() \
             if isinstance(t["ts"], pa.ChunkedArray) else t["ts"]
         return pa.table({
@@ -8254,12 +7450,9 @@ def q_user_activity_gapfill(sf_dir: str):
     gapfill_counts): one row per 6-hour bucket between each user's
     first and last event, zero-filled — the densification pass before
     any rolling/forecast model; all-integer buckets and counts."""
-    import ray.data as rd
-
     from ..stages.windows import gapfill_counts
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     return gapfill_counts(ds, bucket_s=_GAPFILL_BUCKET_S)
 
 
@@ -8284,23 +7477,14 @@ def q_event_type_props_assoc(sf_dir: str):
     contingency exchange is |types|×|props| cells by contract; the
     closed forms run over exact int64 cells with the zero-cell chi²
     contribution folded in as n − Σe; all three floats 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.stats import association_stats
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "props"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "props"])
     out = association_stats(ds, a_col="event_type", b_col="props")
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        for name in ("chi2", "mi", "cramers_v"):
-            v = t[name].to_numpy(zero_copy_only=False)
-            t = t.set_column(t.schema.get_field_index(name), name,
-                             pa.array(_r4(v)))
-        return t
-
+    rnd = shape(pa.schema({"n": pa.int64(), "cells": pa.int64(), "dof": pa.int64(),
+                           "chi2": pa.float64(), "mi": pa.float64(),
+                           "cramers_v": pa.float64()}), r4=["chi2", "mi", "cramers_v"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8344,22 +7528,19 @@ def q_top_unshipped_orders(sf_dir: str):
     int64 cents×percent (floor(price*100+0.5) * (100 −
     floor(disc*100+0.5))), so the top-10 cut and its orderkey
     tiebreak are fully deterministic across engines."""
-    import ray.data as rd
     import pyarrow.compute as pc
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_mktsegment"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
 
     def seg(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["c_mktsegment"], "BUILDING"))
         return t.select(["c_custkey"])
 
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate", "o_orderpriority"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey",
+                                                   "o_orderdate", "o_orderpriority"])
 
     def ofilt(t: pa.Table) -> pa.Table:
         od = t["o_orderdate"].combine_chunks() \
@@ -8380,9 +7561,8 @@ def q_top_unshipped_orders(sf_dir: str):
                                ("o_orderpriority", pa.string())]),
         right_schema=pa.schema([("c_custkey", pa.int64())]))
 
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice",
+                                                 "l_discount", "l_shipdate"])
 
     def lfilt(t: pa.Table) -> pa.Table:
         sd = t["l_shipdate"].combine_chunks() \
@@ -8390,11 +7570,11 @@ def q_top_unshipped_orders(sf_dir: str):
             else t["l_shipdate"]
         us = sd.cast(pa.int64()).to_numpy(zero_copy_only=False)
         keep = us > _Q3_DATE_US
-        p = t["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-        d = t["l_discount"].to_numpy(zero_copy_only=False)[keep]
+        p = _non_null_numpy(t, "l_extendedprice")[keep]
+        d = _non_null_numpy(t, "l_discount")[keep]
         cents = np.floor(p * 100 + 0.5).astype(np.int64) \
             * (100 - np.floor(d * 100 + 0.5).astype(np.int64))
-        k = t["l_orderkey"].to_numpy(zero_copy_only=False)[keep]
+        k = _non_null_numpy(t, "l_orderkey")[keep]
         return pa.table({"l_orderkey": pa.array(k.astype(np.int64)),
                          "rev": pa.array(cents)})
 
@@ -8446,13 +7626,10 @@ def q_user_weekly_growth(sf_dir: str):
     not merely observed weeks), lag_column for the previous week, the
     exact int64 difference, and rate = cnt/prev (NULL on prev = 0)
     4dp-gated — the composition every metrics dashboard runs."""
-    import ray.data as rd
-
     from ..stages.scan import lag_column
     from ..stages.windows import gapfill_counts
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     grid = gapfill_counts(ds, bucket_s=_POP_BUCKET_S)
     lagged = lag_column(grid, value_col="cnt", order_by="bucket",
                         key_col="user_id", out_col="prev_cnt")
@@ -8467,7 +7644,7 @@ def q_user_weekly_growth(sf_dir: str):
             return out_schema.empty_table()
         import pyarrow.compute as pc
 
-        c = t["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
+        c = _non_null_numpy(t, "cnt").astype(np.int64)
         prev = t["prev_cnt"]
         prev = prev.combine_chunks() \
             if isinstance(prev, pa.ChunkedArray) else prev
@@ -8526,23 +7703,17 @@ def q_orders_cdc_merge(sf_dir: str):
     update then the delete, and the delete wins on version) — the
     lakehouse MERGE INTO pattern, winner selection one integer
     (version·2 + priority) grouped max."""
-    import ray.data as rd
     import pyarrow.compute as pc
 
     from ..stages.upsert import apply_changes
 
     cols = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
             "o_orderdate", "o_orderpriority"]
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=cols)
+    orders = read_table(sf_dir, "orders", columns=cols)
 
-    def to_us(t: pa.Table) -> pa.Table:
-        od = t["o_orderdate"].combine_chunks() \
-            if isinstance(t["o_orderdate"], pa.ChunkedArray) \
-            else t["o_orderdate"]
-        return t.set_column(t.schema.get_field_index("o_orderdate"),
-                            "o_orderdate", od.cast(pa.int64()))
-
+    to_us = shape(pa.schema({"o_orderkey": pa.int64(), "o_custkey": pa.int64(),
+                             "o_orderstatus": pa.string(), "o_totalprice": pa.float64(),
+                             "o_orderdate": pa.int64(), "o_orderpriority": pa.string()}))
     base = orders.map_batches(to_us, batch_format="pyarrow")
 
     def mk_changes(t: pa.Table) -> pa.Table:
@@ -8624,13 +7795,8 @@ def q_kmeans_silhouette(sf_dir: str):
     emb, cents = _kmeans_cent_ref(sf_dir)
     out = cluster_silhouette(emb, ray.put(cents))
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        v = t["mean_sil"].to_numpy(zero_copy_only=False)
-        return t.set_column(t.schema.get_field_index("mean_sil"),
-                            "mean_sil", pa.array(_r4(v)))
-
+    rnd = shape(pa.schema({"cluster": pa.int64(), "n": pa.int64(),
+                           "mean_sil": pa.float64()}), r4=["mean_sil"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8671,13 +7837,10 @@ def q_langid_kappa(sf_dir: str):
     prediction (stages/stats.py: cohens_kappa) — the scalar
     agreement score on top of the langid_confusion matrix; every sum
     exact int64, po/pe/κ fixed expressions (4dp-gated)."""
-    import ray.data as rd
-
     from ..stages.stats import cohens_kappa
     from ..stages.textstats import langid_batch
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
     def pred(t: pa.Table) -> pa.Table:
         out = langid_batch(t)
@@ -8686,15 +7849,9 @@ def q_langid_kappa(sf_dir: str):
     ds = docs.map_batches(pred, batch_format="pyarrow")
     out = cohens_kappa(ds, a_col="lang", b_col="pred_lang")
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        for name in ("po", "pe", "kappa"):
-            v = t[name].to_numpy(zero_copy_only=False)
-            t = t.set_column(t.schema.get_field_index(name), name,
-                             pa.array(_r4(v)))
-        return t
-
+    rnd = shape(pa.schema({"n": pa.int64(), "agree": pa.int64(), "po": pa.float64(),
+                           "pe": pa.float64(), "kappa": pa.float64()}),
+                r4=["po", "pe", "kappa"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8731,23 +7888,14 @@ def q_order_custkey_skew(sf_dir: str):
     key_skew_stats): n_keys / n_rows / max_cnt exact int64, max_share
     and the rank-form gini fixed expressions over exact integers
     (4dp-gated) — the diagnostic that dispatches the salted join."""
-    import ray.data as rd
-
     from ..stages.stats import key_skew_stats
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                         columns=["o_custkey"])
+    ds = read_table(sf_dir, "orders", columns=["o_custkey"])
     out = key_skew_stats(ds, key_col="o_custkey")
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        for name in ("max_share", "gini"):
-            v = t[name].to_numpy(zero_copy_only=False)
-            t = t.set_column(t.schema.get_field_index(name), name,
-                             pa.array(_r4(v)))
-        return t
-
+    rnd = shape(pa.schema({"n_keys": pa.int64(), "n_rows": pa.int64(),
+                           "max_cnt": pa.int64(), "max_share": pa.float64(),
+                           "gini": pa.float64()}), r4=["max_share", "gini"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8783,8 +7931,7 @@ def q_lsh_recall(sf_dir: str):
     from ..stages.join import sort_merge_join
     from ..stages.setsim import prefix_jaccard_join
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     exact = prefix_jaccard_join(
         docs, threshold=(_SETSIM_NUM, _SETSIM_DEN),
         shingle_k=_SETSIM_K).select_columns(["a", "b"]).materialize()
@@ -8827,13 +7974,10 @@ def q_session_stats(sf_dir: str):
     gap): n_sessions, total events, mean events/session and mean
     session duration in seconds — integer sums with two 4dp-gated
     divisions; the composition every engagement dashboard runs."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.windows import sessionize
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
     sess = sessionize(ev, gap_s=1800.0)
 
     part_schema = pa.schema([
@@ -8843,8 +7987,8 @@ def q_session_stats(sf_dir: str):
     def proj(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "user_id" not in t.column_names:
             return part_schema.empty_table()
-        s = t["session_start_us"].to_numpy(zero_copy_only=False)
-        e = t["session_end_us"].to_numpy(zero_copy_only=False)
+        s = _non_null_numpy(t, "session_start_us")
+        e = _non_null_numpy(t, "session_end_us")
         return pa.table({
             "user_id": t["user_id"],
             "n_sessions": pa.array(np.ones(t.num_rows, np.int64)),
@@ -8923,20 +8067,16 @@ def q_events_radius_join(sf_dir: str):
     [0, 100)² cloud both engines derive identically — and all pairs
     within r = 0.35 surface through the fixed-grid plan (one 5×-stamp
     cell sort, never all-pairs).  dist 4dp-gated."""
-    import ray.data as rd
-
     from ..functions.hashing import md5_low64_batch
     from ..stages.spatial import radius_join
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id"])
+    ev = read_table(sf_dir, "events", columns=["event_id"])
 
     def coords(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.schema([("id", pa.int64()), ("x", pa.float64()),
                               ("y", pa.float64())]).empty_table()
-        ids = t["event_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        ids = _non_null_numpy(t, "event_id").astype(np.int64)
         hx = md5_low64_batch([f"{i},x" for i in ids])
         hy = md5_low64_batch([f"{i},y" for i in ids])
         x = (hx % np.uint64(1_000_000)).astype(np.float64) / 10000.0
@@ -8947,13 +8087,8 @@ def q_events_radius_join(sf_dir: str):
     out = radius_join(ev.map_batches(coords, batch_format="pyarrow"),
                       r=_RADIUS_R)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        v = t["dist"].to_numpy(zero_copy_only=False)
-        return t.set_column(t.schema.get_field_index("dist"),
-                            "dist", pa.array(_r4(v)))
-
+    rnd = shape(pa.schema({"a": pa.int64(), "b": pa.int64(), "dist": pa.float64()}),
+                r4=["dist"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -8995,20 +8130,16 @@ def q_events_dbscan(sf_dir: str):
     mix of small percolation clusters, border points and noise (all
     three roles populated at sf0.01); min-reachable-id cluster labels
     and min-label border assignment make every label deterministic."""
-    import ray.data as rd
-
     from ..functions.hashing import md5_low64_batch
     from ..stages.spatial import dbscan_labels
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id"])
+    ev = read_table(sf_dir, "events", columns=["event_id"])
 
     def coords(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.schema([("id", pa.int64()), ("x", pa.float64()),
                               ("y", pa.float64())]).empty_table()
-        ids = t["event_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        ids = _non_null_numpy(t, "event_id").astype(np.int64)
         hx = md5_low64_batch([f"{i},x" for i in ids])
         hy = md5_low64_batch([f"{i},y" for i in ids])
         x = (hx % np.uint64(1_000_000)).astype(np.float64) / 10000.0
@@ -9107,25 +8238,16 @@ def q_value_drift(sf_dir: str):
     (stages/stats.py: drift_stats): PSI with exact-rational Laplace
     terms + the KS statistic with an integer-exact argmax; psi/ks
     4dp-gated."""
-    import ray.data as rd
-
     from ..stages.stats import drift_stats
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
     out = drift_stats(ds, value_col="value", ts_col="ts",
                       split_us=_DRIFT_SPLIT_US, lo_cents=_DRIFT_LO,
                       hi_cents=_DRIFT_HI, bins=_DRIFT_BINS)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        for name in ("psi", "ks"):
-            v = t[name].to_numpy(zero_copy_only=False)
-            t = t.set_column(t.schema.get_field_index(name), name,
-                             pa.array(_r4(v)))
-        return t
-
+    rnd = shape(pa.schema({"n_a": pa.int64(), "n_b": pa.int64(), "psi": pa.float64(),
+                           "ks": pa.float64(), "ks_bucket": pa.int64()}),
+                r4=["psi", "ks"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -9178,19 +8300,16 @@ def q_events_auc(sf_dir: str):
     the 'purchase' label (stages/stats.py: roc_auc) — the
     Mann-Whitney rank-sum identity with a pure-integer numerator and
     ONE normalizing division; auc 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.stats import roc_auc
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         if t.num_rows == 0:
             return pa.schema([("score", pa.int64()),
                               ("label", pa.int64())]).empty_table()
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         cents = np.floor(v * 100).astype(np.int64)
         lab = pc.equal(t["event_type"], "purchase")
         return pa.table({"score": pa.array(cents),
@@ -9199,13 +8318,8 @@ def q_events_auc(sf_dir: str):
     out = roc_auc(ds.map_batches(prep, batch_format="pyarrow"),
                   score_col="score", label_col="label")
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        v = t["auc"].to_numpy(zero_copy_only=False)
-        return t.set_column(t.schema.get_field_index("auc"), "auc",
-                            pa.array(_r4(v)))
-
+    rnd = shape(pa.schema({"n_pos": pa.int64(), "n_neg": pa.int64(),
+                           "auc": pa.float64()}), r4=["auc"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -9243,16 +8357,12 @@ def q_user_value_autocorr(sf_dir: str):
     six scalars per batch) -> the explicit closed-form Pearson r both
     engines evaluate identically (the corr_qty_price contract);
     autocorr 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.scan import lag_column
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "user_id": t["user_id"], "ts": t["ts"],
             "event_id": t["event_id"],
@@ -9268,8 +8378,8 @@ def q_user_value_autocorr(sf_dir: str):
             else pa.chunked_array([c.is_valid()
                                    for c in x_arr.chunks]).combine_chunks()
         t = t.filter(keep)
-        x = t["lag_cents"].to_numpy(zero_copy_only=False).astype(np.int64)
-        y = t["cents"].to_numpy(zero_copy_only=False).astype(np.int64)
+        x = _non_null_numpy(t, "lag_cents").astype(np.int64)
+        y = _non_null_numpy(t, "cents").astype(np.int64)
         return pa.table({
             "n": pa.array([np.int64(len(x))]),
             "sx": pa.array([x.sum()]), "sy": pa.array([y.sum()]),
@@ -9324,22 +8434,13 @@ def q_source_lang_kl(sf_dir: str):
     global mix (stages/stats.py: kl_by_group) — Laplace-smoothed
     exact-rational terms over the |S|x|L|-bounded contingency; kl
     4dp-gated."""
-    import ray.data as rd
-
     from ..stages.stats import kl_by_group
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["source", "lang"])
+    ds = read_table(sf_dir, "documents", columns=["source", "lang"])
     out = kl_by_group(ds, group_col="source", cat_col="lang")
 
-    def fix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        v = t["kl"].to_numpy(zero_copy_only=False)
-        t = t.set_column(t.schema.get_field_index("kl"), "kl",
-                         pa.array(_r4(v)))
-        return t.rename_columns(["source", "n", "kl"])
-
+    fix = shape(pa.schema({"source": pa.string(), "n": pa.int64(), "kl": pa.float64()}),
+                r4=["kl"], rename={"source": "group"})
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -9398,13 +8499,8 @@ def q_community_modularity(sf_dir: str):
     labels = label_propagation(edges, rounds=3, partitions=4)
     out = modularity(edges, labels, partitions=4)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        v = t["q_term"].to_numpy(zero_copy_only=False)
-        return t.set_column(t.schema.get_field_index("q_term"),
-                            "q_term", pa.array(_r4(v)))
-
+    rnd = shape(pa.schema({"label": pa.int64(), "e_in": pa.int64(), "deg": pa.int64(),
+                           "q_term": pa.float64()}), r4=["q_term"])
     return out.map_batches(rnd, batch_format="pyarrow")
 
 
@@ -9455,21 +8551,17 @@ def q_events_knn(sf_dir: str):
     one-row-per-(batch, center) local prefilter bounds that
     exchange).  Ranking happens on the UNROUNDED shared-IEEE
     distance; dist is 4dp-gated only at output."""
-    import ray.data as rd
-
     from ..functions.hashing import md5_low64_batch
     from ..stages.aggregates import topk_per_group
     from ..stages.spatial import radius_join
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id"])
+    ev = read_table(sf_dir, "events", columns=["event_id"])
 
     def coords(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.schema([("id", pa.int64()), ("x", pa.float64()),
                               ("y", pa.float64())]).empty_table()
-        ids = t["event_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        ids = _non_null_numpy(t, "event_id").astype(np.int64)
         hx = md5_low64_batch([f"{i},x" for i in ids])
         hy = md5_low64_batch([f"{i},y" for i in ids])
         x = (hx % np.uint64(1_000_000)).astype(np.float64) / 10000.0
@@ -9500,14 +8592,7 @@ def q_events_knn(sf_dir: str):
         ["a"], "dist", _KNN_K, descending=False, tiebreak="b",
         in_schema=pair_schema)
 
-    def rnd(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "dist" not in t.column_names:
-            return pair_schema.empty_table()
-        v = t["dist"].to_numpy(zero_copy_only=False)
-        return t.set_column(t.schema.get_field_index("dist"),
-                            "dist", pa.array(_r4(v)))
-
-    return knn.map_batches(rnd, batch_format="pyarrow")
+    return knn.map_batches(shape(pair_schema, r4=["dist"]), batch_format="pyarrow")
 
 
 QUERIES["events_knn"] = q_events_knn
@@ -9555,14 +8640,10 @@ def q_transition_entropy(sf_dir: str):
     |T|²-bounded cells — every probability an exact int64 rational,
     only the ≤|T|-term sum carries gated order drift.  Returns one
     row per current type (prev_type, n, h); h 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import lag_column
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
     lagged = lag_column(ev, value_col="event_type",
                         order_by=["ts", "event_id"], key_col="user_id",
                         out_col="prev_type")
@@ -9570,9 +8651,9 @@ def q_transition_entropy(sf_dir: str):
     def pairs(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        empty = pa.table({"prev_type": pa.array([], pa.string()),
-                          "event_type": pa.array([], pa.string()),
-                          "one": pa.array([], pa.int64())})
+        empty = pa.schema({"prev_type": pa.string(),
+                           "event_type": pa.string(),
+                           "one": pa.int64()}).empty_table()
         if t.num_rows == 0 or "prev_type" not in t.column_names:
             return empty
         f = t.filter(pc.is_valid(t["prev_type"]))
@@ -9595,7 +8676,7 @@ def q_transition_entropy(sf_dir: str):
     cells = pa.concat_tables(tabs)                   # |T|²-bounded
     prev = cells["prev_type"].to_numpy(zero_copy_only=False) \
         .astype(object)
-    n = cells["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+    n = _non_null_numpy(cells, "n").astype(np.int64)
     uprev, inv = np.unique(prev, return_inverse=True)
     n_c = np.bincount(inv, weights=n).astype(np.int64)
     p = n / n_c[inv].astype(np.float64)
@@ -9639,16 +8720,13 @@ def q_priority_late_orders(sf_dir: str):
     predicate pattern (orderkey sort-merge join + late filter +
     per-order collapse + priority-bounded count; all-integer)."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_shipdate"])
-    od = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                         columns=["o_orderkey", "o_orderdate",
-                                  "o_orderpriority"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
+    od = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderdate",
+                                               "o_orderpriority"])
 
     def win(t: pa.Table) -> pa.Table:
         d = t["o_orderdate"]
@@ -9720,20 +8798,16 @@ def q_events_constraint_audit(sf_dir: str):
     id-keyed grouped count, the one data-sized exchange the audit
     inherently needs), null-value rows, and value-range violations
     (value < 0 or >= 500), all exact int64 scalars — one row out."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "value"])
 
     id_schema = pa.schema([("id", pa.int64()), ("one", pa.int64())])
 
     def ids(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return id_schema.empty_table()
-        i = t["event_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        i = _non_null_numpy(t, "event_id").astype(np.int64)
         u, c = np.unique(i, return_counts=True)
         return pa.table({"id": pa.array(u),
                          "one": pa.array(c.astype(np.int64))})
@@ -9790,12 +8864,9 @@ def q_type_value_drift(sf_dir: str):
     halves (stages/stats.py: drift_stats_by_group) — the per-segment
     PSI/KS monitoring grid, same exact-integer bucket/argmax
     contracts as value_drift; psi/ks 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.stats import drift_stats_by_group
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
     out = drift_stats_by_group(
         ds, group_col="event_type", value_col="value", ts_col="ts",
         split_us=_DRIFT_SPLIT_US, lo_cents=_DRIFT_LO,
@@ -9892,13 +8963,10 @@ def q_user_rfm(sf_dir: str):
     DESC, each with the user_id ASC tiebreak the unique-sort-tuple
     contract requires — composed into segment = r·100 + f·10 + m.
     All-integer end to end."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import ntile
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("last_us", pa.int64()),
@@ -9912,7 +8980,7 @@ def q_user_rfm(sf_dir: str):
         ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "user_id": t["user_id"], "last_us": pa.array(us),
             "one": pa.array(np.ones(t.num_rows, np.int64)),
@@ -9930,7 +8998,7 @@ def q_user_rfm(sf_dir: str):
     # (exact for int64 µs), keeping user_id ASC as tiebreak.
 
     def neg(t: pa.Table, col: str, out: str) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = _non_null_numpy(t, col).astype(np.int64)
         return t.append_column(out, pa.array(-v))
 
     step = per_user.map_batches(
@@ -9946,9 +9014,9 @@ def q_user_rfm(sf_dir: str):
 
     def fin(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        r = t["r_tile"].to_numpy(zero_copy_only=False).astype(np.int64)
-        f = t["f_tile"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = t["m_tile"].to_numpy(zero_copy_only=False).astype(np.int64)
+        r = _non_null_numpy(t, "r_tile").astype(np.int64)
+        f = _non_null_numpy(t, "f_tile").astype(np.int64)
+        m = _non_null_numpy(t, "m_tile").astype(np.int64)
         return pa.table({
             "user_id": pc.cast(t["user_id"], pa.int64()),
             "freq": pc.cast(t["freq"], pa.int64()),
@@ -9993,12 +9061,9 @@ def q_value_calibration(sf_dir: str):
     mean score and the positive rate.  ONE bins-bounded grouped sum
     over per-batch bincount partials; sums exact int64, the two
     divisions 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
     span = _CAL_HI - _CAL_LO
     part_schema = pa.schema([("bucket", pa.int64()), ("n", pa.int64()),
                              ("n_pos", pa.int64()),
@@ -10008,7 +9073,7 @@ def q_value_calibration(sf_dir: str):
         import pyarrow.compute as pc
         if t.num_rows == 0:
             return part_schema.empty_table()
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         cents = np.floor(v * 100).astype(np.int64)
         b = np.clip((cents - _CAL_LO) * _CAL_BINS // span, 0,
                     _CAL_BINS - 1)
@@ -10080,12 +9145,9 @@ def q_time_to_convert(sf_dir: str):
     analytics runs.  ONE user-keyed grouped min pass carrying two
     exact int64 µs minima per user (first event, first purchase),
     then a scalar-partial reduce; mean 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
     part_schema = pa.schema([("user_id", pa.int64()),
                              ("first_us", pa.int64()),
@@ -10243,14 +9305,10 @@ def q_top_event_paths(sf_dir: str):
     user by (ts, event_id) — each ONE range sort + O(offset)-row
     carry — then a |T|³-bounded grouped count and a global top-5
     ranked n DESC with lexicographic path tiebreak.  All-integer."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import lag_column
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
+    ev = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
     l1 = lag_column(ev, value_col="event_type",
                     order_by=["ts", "event_id"], key_col="user_id",
                     out_col="t2")
@@ -10331,9 +9389,9 @@ def q_zipf_slope(sf_dir: str):
             t = open_shard(index_dir, sid)
             if t is not None:
                 parts.append(t.select(["term", "total_tf"]))
-        return pa.concat_tables(parts) if parts else pa.table(
-            {"term": pa.array([], pa.string()),
-             "total_tf": pa.array([], pa.int64())})
+        return pa.concat_tables(parts) if parts else pa.schema(
+             {"term": pa.string(),
+              "total_tf": pa.int64()}).empty_table()
 
     rows = rd.from_arrow(pa.table(
         {"sid": pa.array(sids)})).map_batches(
@@ -10390,25 +9448,14 @@ def q_user_churn_labels(sf_dir: str):
     pre-pass), the cutoff is integer arithmetic (min + span·3//4, so
     the boundary decision replays exactly), and labels come from ONE
     user-keyed grouped max.  Returns (user_id, last_us, churned)."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("us", pa.int64())])
 
-    def prep(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return prep_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        return pa.table({"user_id": t["user_id"],
-                         "us": ts.cast(pa.int64())})
-
+    prep = shape(prep_schema, rename={"us": "ts"})
     base = ds.map_batches(prep, batch_format="pyarrow")
 
     span_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
@@ -10437,7 +9484,7 @@ def q_user_churn_labels(sf_dir: str):
             return pa.schema([("user_id", pa.int64()),
                               ("last_us", pa.int64()),
                               ("churned", pa.int64())]).empty_table()
-        last = t["last_us"].to_numpy(zero_copy_only=False)
+        last = _non_null_numpy(t, "last_us")
         return pa.table({
             "user_id": pc.cast(t["user_id"], pa.int64()),
             "last_us": pc.cast(t["last_us"], pa.int64()),
@@ -10465,12 +9512,9 @@ def q_peak_hour_by_type(sf_dir: str):
     UTC hour-of-day from exact integer µs arithmetic ((us // 3_600e6)
     % 24, identical on both engines), ONE |T|·24-bounded grouped
     count, argmax per type with smallest-hour tiebreak."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "ts"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "ts"])
 
     part_schema = pa.schema([("event_type", pa.string()),
                              ("hour", pa.int64()), ("one", pa.int64())])
@@ -10536,22 +9580,13 @@ def q_user_burstiness(sf_dir: str):
     Users with <2 gaps get NULL B (σ and μ of one gap are degenerate
     only when σ+μ=0; the n≥2 floor matches the metric's definition);
     mean_gap_s/burstiness 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import lag_column
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_id"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
-    def us_col(t: pa.Table) -> pa.Table:
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        return pa.table({"user_id": t["user_id"],
-                         "event_id": t["event_id"],
-                         "us": ts.cast(pa.int64())})
-
+    us_col = shape(pa.schema({"user_id": pa.int64(), "event_id": pa.int64(),
+                              "us": pa.int64()}), rename={"us": "ts"})
     lagged = lag_column(ev.map_batches(us_col, batch_format="pyarrow"),
                         value_col="us", order_by=["us", "event_id"],
                         key_col="user_id", out_col="prev_us")
@@ -10648,12 +9683,9 @@ def q_k_anonymity_audit(sf_dir: str):
     of DISTINCT sensitive buckets.  ONE (lang, source,
     bucket)-bounded grouped count carries everything; distinct-count
     and minima fold over the bounded cells.  All-integer."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["lang", "source", "n_chars"])
+    ds = read_table(sf_dir, "documents", columns=["lang", "source", "n_chars"])
 
     part_schema = pa.schema([("lang", pa.string()),
                              ("source", pa.string()),
@@ -10663,8 +9695,7 @@ def q_k_anonymity_audit(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        nc = t["n_chars"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        nc = _non_null_numpy(t, "n_chars").astype(np.int64)
         return pa.table({
             "lang": t["lang"], "source": t["source"],
             "bucket": pa.array(nc // _LDIV_BUCKET),
@@ -10723,20 +9754,16 @@ def q_user_twap(sf_dir: str):
     numerator and denominator stay EXACT int64 through ONE user-keyed
     grouped sum; single-event users and zero-span users get NULL (no
     elapsed time to weight); twap 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import lag_column
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_id",
-                                  "value"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
         ts = t["ts"]
         ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
             else ts
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         return pa.table({
             "user_id": t["user_id"], "event_id": t["event_id"],
             "us": ts.cast(pa.int64()),
@@ -10836,19 +9863,15 @@ def q_market_share_by_year(sf_dir: str):
     year from exact integer µs arithmetic, ONE year-bounded grouped
     sum."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import broadcast_join, sort_merge_join
 
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice",
+                                                 "l_discount"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey",
+                                                   "o_orderdate"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     j1 = sort_merge_join(li, orders, "l_orderkey", "o_orderkey",
                          partitions=8)
     j1_schema = pa.schema([("l_orderkey", pa.int64()),
@@ -10885,8 +9908,8 @@ def q_market_share_by_year(sf_dir: str):
         us = od.cast(pa.int64()).to_numpy(zero_copy_only=False)
         year = (us.astype("datetime64[us]")
                 .astype("datetime64[Y]").astype(np.int64) + 1970)
-        price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        price = _non_null_numpy(t, "l_extendedprice")
+        disc = _non_null_numpy(t, "l_discount")
         rev = (np.floor(price * 100).astype(np.int64)
                * (100 - np.floor(disc * 100).astype(np.int64)))
         rn = t["r_name"]
@@ -10961,14 +9984,12 @@ def q_cf_hit_rate(sf_dir: str):
     documented as such), and count users whose holdout appears.
     All set logic integer/join-exact; hit_rate 4dp-gated."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
     from ..stages.semistructured import json_int_field
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_id", "props"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "event_id", "props"])
     ui0 = json_int_field(ev, field="k", out_col="item")
 
     base_schema = pa.schema([("user_id", pa.int64()),
@@ -11030,7 +10051,7 @@ def q_cf_hit_rate(sf_dir: str):
     ej = sort_merge_join(
         hj, elig.map_batches(
             lambda t: pa.table({"u2": t["user_id"]})
-            if t.num_rows else pa.table({"u2": pa.array([], pa.int64())}),
+            if t.num_rows else pa.schema({"u2": pa.int64()}).empty_table(),
             batch_format="pyarrow"),
         on="user_id", right_on="u2", how="semi",
         partitions=4)
@@ -11056,8 +10077,8 @@ def q_cf_hit_rate(sf_dir: str):
             lambda t: pa.table({"s_item": t["item"],
                                 "partner": t["partner"]})
             if t.num_rows else
-            pa.table({"s_item": pa.array([], pa.int64()),
-                      "partner": pa.array([], pa.int64())}),
+            pa.schema({"s_item": pa.int64(),
+                       "partner": pa.int64()}).empty_table(),
             batch_format="pyarrow"),
         on="item", right_on="s_item",
         left_schema=hist_schema,
@@ -11138,10 +10159,7 @@ def q_weekend_value_ttest(sf_dir: str):
     SAMPLE variances — identically on both engines; means/t
     4dp-gated.  Raises when either group has < 2 rows (variance
     undefined)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     part_schema = pa.schema([
         ("g", pa.int64()), ("n", pa.int64()),
@@ -11156,7 +10174,7 @@ def q_weekend_value_ttest(sf_dir: str):
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         dow = (us // 86_400_000_000 + 4) % 7
         wk = (dow >= 5).astype(np.int64)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         rows = []
         for g in (0, 1):
@@ -11238,7 +10256,6 @@ def q_edge_reciprocity(sf_dir: str):
     whose reverse is also present through ONE packed-int64 semi join
     — code = s·2³² + d vs the swapped code — and report
     n_edges, n_reciprocal and their 4dp-gated ratio."""
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -11336,13 +10353,11 @@ def q_daily_value_anomaly(sf_dir: str):
     alongside so the float z is pure presentation.  Days whose window
     has zero variance get NULL z on both engines; z 4dp-gated."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import rolling_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     part_schema = pa.schema([("day", pa.int64()),
                              ("cents", pa.int64())])
@@ -11357,7 +10372,7 @@ def q_daily_value_anomaly(sf_dir: str):
         return pa.table({
             "day": pa.array(us // 86_400_000_000),
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     daily = sorted_groupby_agg(
@@ -11451,15 +10466,13 @@ def q_heaps_fit(sf_dir: str):
     (Java-trim + punctuation split + lowercase + stopword filter);
     slope(=β)/intercept 4dp-gated."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..functions.tokenizers import JAVA_TRIM_CHARS
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
     from ..stages.scan import running_agg
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     tok_schema = pa.schema([("doc_id", pa.int64()),
                             ("term", pa.string())])
@@ -11474,8 +10487,7 @@ def q_heaps_fit(sf_dir: str):
         toks = pc.split_pattern_regex(arr, pattern=PUNCT_SPLIT_RE2)
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        ids = _non_null_numpy(t, "doc_id").astype(np.int64)
         keep = pc.and_(
             pc.not_equal(flat, ""),
             pc.invert(pc.is_in(flat, value_set=pa.array(
@@ -11626,13 +10638,11 @@ def q_peak_concurrency(sf_dir: str):
     and before any end at that instant, which is order-independent
     within the tie group and therefore deterministic on both engines.
     All-integer; running scan + scalar-partial max."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import running_agg
     from ..stages.windows import sessionize
 
-    sess = sessionize(_events_ds(sf_dir), gap_s=SESSION_GAP_S)
+    sess = sessionize(read_table(sf_dir, "events"), gap_s=SESSION_GAP_S)
 
     b_schema = pa.schema([("tu", pa.int64()), ("delta", pa.int64()),
                           ("pos", pa.int64())])
@@ -11640,10 +10650,8 @@ def q_peak_concurrency(sf_dir: str):
     def bounds(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "session_start_us" not in t.column_names:
             return b_schema.empty_table()
-        s = t["session_start_us"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        e = t["session_end_us"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        s = _non_null_numpy(t, "session_start_us").astype(np.int64)
+        e = _non_null_numpy(t, "session_end_us").astype(np.int64)
         n = s.size
         return pa.table({
             "tu": pa.array(np.r_[s, e]),
@@ -11716,19 +10724,17 @@ def q_purchase_value_locf(sf_dir: str):
     carry-thread plan (type-generic index-take fill).  Rows before a
     user's first purchase stay NULL; filled cents exact int64."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.scan import locf_fill
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type", "value"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id",
+                                               "event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
         ts = t["ts"]
         ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
             else ts
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         cents = np.floor(v * 100).astype(np.int64)
         buy = pc.equal(t["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
@@ -11741,16 +10747,7 @@ def q_purchase_value_locf(sf_dir: str):
                     value_col="pv", order_by=["us", "event_id"],
                     key_col="user_id", out_col="last_purchase_cents")
 
-    def fin(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "event_id" not in t.column_names:
-            return pa.schema([
-                ("event_id", pa.int64()),
-                ("last_purchase_cents", pa.int64())]).empty_table()
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "last_purchase_cents": pc.cast(t["last_purchase_cents"],
-                                           pa.int64())})
-
+    fin = shape(pa.schema({"event_id": pa.int64(), "last_purchase_cents": pa.int64()}))
     return out.map_batches(fin, batch_format="pyarrow")
 
 
@@ -11775,12 +10772,9 @@ def q_user_stickiness(sf_dir: str):
     data-sized exchange, done once per granularity), bucket-bounded
     per-bucket distinct counts, integer sums, three 4dp-gated
     divisions."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "user_id"])
+    ds = read_table(sf_dir, "events", columns=["ts", "user_id"])
 
     def counts_per_bucket(div_us: int, tag: str):
         part_schema = pa.schema([("b", pa.int64()),
@@ -11859,13 +10853,10 @@ def q_revenue_pareto(sf_dir: str):
     tiebreak through the distributed running scan, and the cutoff
     decided with PURE INTEGERS (5·cum ≥ 4·total — no float boundary
     anywhere); share 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import running_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "value"])
 
     part_schema = pa.schema([("user_id", pa.int64()),
                              ("cents", pa.int64())])
@@ -11876,7 +10867,7 @@ def q_revenue_pareto(sf_dir: str):
         return pa.table({
             "user_id": t["user_id"],
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     per_user = sorted_groupby_agg(
@@ -12025,19 +11016,17 @@ def q_purchase_value_nocb(sf_dir: str):
     over the descending sort; rows after a user's last purchase stay
     NULL."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.scan import locf_fill
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type", "value"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id",
+                                               "event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
         ts = t["ts"]
         ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
             else ts
-        v = t["value"].to_numpy(zero_copy_only=False)
+        v = _non_null_numpy(t, "value")
         cents = np.floor(v * 100).astype(np.int64)
         buy = pc.equal(t["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
@@ -12051,16 +11040,7 @@ def q_purchase_value_nocb(sf_dir: str):
                     key_col="user_id", direction="backward",
                     out_col="next_purchase_cents")
 
-    def fin(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "event_id" not in t.column_names:
-            return pa.schema([
-                ("event_id", pa.int64()),
-                ("next_purchase_cents", pa.int64())]).empty_table()
-        return pa.table({
-            "event_id": pc.cast(t["event_id"], pa.int64()),
-            "next_purchase_cents": pc.cast(t["next_purchase_cents"],
-                                           pa.int64())})
-
+    fin = shape(pa.schema({"event_id": pa.int64(), "next_purchase_cents": pa.int64()}))
     return out.map_batches(fin, batch_format="pyarrow")
 
 
@@ -12086,12 +11066,9 @@ def q_benford_value_test(sf_dir: str):
     float log10 boundary anywhere), one 9-bounded grouped count,
     and per digit the observed share next to Benford's expected
     log10(1 + 1/d); shares 4dp-gated, counts exact."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["value"])
+    ds = read_table(sf_dir, "events", columns=["value"])
 
     part_schema = pa.schema([("digit", pa.int64()),
                              ("cnt", pa.int64())])
@@ -12099,7 +11076,7 @@ def q_benford_value_test(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         cents = cents[cents > 0]
         if cents.size == 0:
@@ -12160,13 +11137,10 @@ def q_ivm_status_totals(sf_dir: str):
     maintained view equals a full recompute over the merged state.
     One batch pass emits base + delta partials; ONE status-bounded
     grouped sum; all-integer."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderstatus", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus",
+                                                   "o_totalprice"])
 
     part_schema = pa.schema([("o_orderstatus", pa.string()),
                              ("n", pa.int64()), ("cents", pa.int64())])
@@ -12175,7 +11149,7 @@ def q_ivm_status_totals(sf_dir: str):
         if t.num_rows == 0:
             return part_schema.empty_table()
         k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        p = t["o_totalprice"].to_numpy(zero_copy_only=False)
+        p = _non_null_numpy(t, "o_totalprice")
         st = t["o_orderstatus"]
         st = st.combine_chunks() if isinstance(st, pa.ChunkedArray) \
             else st
@@ -12224,14 +11198,11 @@ def q_large_volume_orders(sf_dir: str):
     int64 quantity sum, integer threshold filter (sum > 180), then
     two key joins (orders, customer) on the tiny surviving side;
     all-integer output ordered by the driver compare."""
-    import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_quantity"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     part_schema = pa.schema([("l_orderkey", pa.int64()),
                              ("qty", pa.int64())])
@@ -12239,8 +11210,7 @@ def q_large_volume_orders(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        q = t["l_quantity"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        q = _non_null_numpy(t, "l_quantity").astype(np.int64)
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "qty": pa.array(q)})
 
@@ -12250,15 +11220,13 @@ def q_large_volume_orders(sf_dir: str):
         in_schema=part_schema)
     big = totals.filter(lambda r: r["sum_qty"] > _Q18_MIN_QTY)
 
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     j1 = sort_merge_join(
         big, orders, on="l_orderkey", right_on="o_orderkey",
         left_schema=pa.schema([("l_orderkey", pa.int64()),
                                ("sum_qty", pa.int64())]),
         partitions=4)
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_name"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name"])
     j2 = sort_merge_join(
         j1, cust, on="o_custkey", right_on="c_custkey",
         left_schema=pa.schema([("l_orderkey", pa.int64()),
@@ -12266,17 +11234,8 @@ def q_large_volume_orders(sf_dir: str):
                                ("o_custkey", pa.int64())]),
         partitions=4)
 
-    def fin(t: pa.Table) -> pa.Table:
-        out_schema = pa.schema([
-            ("c_name", pa.string()), ("o_orderkey", pa.int64()),
-            ("sum_qty", pa.int64())])
-        if t.num_rows == 0 or "c_name" not in t.column_names:
-            return out_schema.empty_table()
-        return pa.table({
-            "c_name": pc.cast(t["c_name"], pa.string()),
-            "o_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-            "sum_qty": pc.cast(t["sum_qty"], pa.int64())})
-
+    fin = shape(pa.schema({"c_name": pa.string(), "o_orderkey": pa.int64(),
+                           "sum_qty": pa.int64()}), rename={"o_orderkey": "l_orderkey"})
     return j2.map_batches(fin, batch_format="pyarrow")
 
 
@@ -12302,13 +11261,11 @@ def q_orders_above_cust_avg(sf_dir: str):
     integer compare, grouped count; customers with ≥1 such order
     only (inner-join semantics mirror the SQL)."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     part_schema = pa.schema([("o_custkey", pa.int64()),
                              ("cents", pa.int64()),
@@ -12317,7 +11274,7 @@ def q_orders_above_cust_avg(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        p = t["o_totalprice"].to_numpy(zero_copy_only=False)
+        p = _non_null_numpy(t, "o_totalprice")
         return pa.table({
             "o_custkey": t["o_custkey"],
             "cents": pa.array(np.floor(p * 100).astype(np.int64)),
@@ -12385,13 +11342,11 @@ def q_user_day_streaks(sf_dir: str):
     count, and a per-user grouped max.  All-integer, every exchange
     keyed and bounded by distinct active days."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import running_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     part_schema = pa.schema([("user_id", pa.int64()),
                              ("day", pa.int64()), ("one", pa.int64())])
@@ -12471,13 +11426,11 @@ def q_orders_scd2(sf_dir: str):
     LEAD scan over the ≤3-rows-per-key stream; all-integer µs
     boundaries."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ..stages.scan import lead_column
 
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_totalprice", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice",
+                                                   "o_orderdate"])
 
     st_schema = pa.schema([("o_orderkey", pa.int64()),
                            ("cents", pa.int64()), ("ver", pa.int64()),
@@ -12487,7 +11440,7 @@ def q_orders_scd2(sf_dir: str):
         if t.num_rows == 0:
             return st_schema.empty_table()
         k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        p = t["o_totalprice"].to_numpy(zero_copy_only=False)
+        p = _non_null_numpy(t, "o_totalprice")
         od = t["o_orderdate"]
         od = od.combine_chunks() if isinstance(od, pa.ChunkedArray) \
             else od
@@ -12597,7 +11550,7 @@ def q_value_quantiles_cont(sf_dir: str):
                          * 100).astype(np.int64)
         return pa.table({"cents": pa.array(cents)})
 
-    ds = _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow")
+    ds = read_table(sf_dir, "events").map_batches(prep, batch_format="pyarrow")
     out = global_quantiles_cont(ds, "cents", CONT_PCTS)
     val = out["interp_num"].to_numpy(zero_copy_only=False) \
         .astype(np.float64) / 10000.0
@@ -12739,10 +11692,7 @@ def q_type_weekend_chisq(sf_dir: str):
     summation order (the same reason `value_calibration` reports per
     bin).  Raises when either day-class column total is 0 (the test
     is undefined)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     part_schema = pa.schema([("event_type", pa.string()),
                              ("g", pa.int64()),
@@ -12849,10 +11799,7 @@ def q_decayed_event_counts(sf_dir: str):
     partial pass, then per-batch (type, age) bincount partials with a
     bounded (|T| × 30) driver combine — nothing
     data-sized ever leaves the workers."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     mx_schema = pa.schema([("mx", pa.int64())])
 
@@ -12955,12 +11902,9 @@ def q_user_value_quantiles_cont(sf_dir: str):
     (user × percentile)-bounded grouped sum.  The final value is the
     shared int64 numerator divided once by 10000.0 — bit-identical on
     both engines."""
-    import ray.data as rd
-
     from ..stages.aggregates import grouped_quantiles_cont
 
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "value", "event_id"])
+    ev = read_table(sf_dir, "events", columns=["user_id", "value", "event_id"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("cents", pa.int64()),
@@ -12974,7 +11918,7 @@ def q_user_value_quantiles_cont(sf_dir: str):
         f = t.filter(keep)
         if f.num_rows == 0:
             return prep_schema.empty_table()
-        cents = np.floor(f["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(f, "value")
                          * 100).astype(np.int64)
         return pa.table({"user_id": f["user_id"],
                          "cents": pa.array(cents),
@@ -13149,7 +12093,7 @@ def q_doc_contact_stats(sf_dir: str):
                 pa.int64())
         return pa.table(cols)
 
-    return _docs_ds(sf_dir).map_batches(stats, batch_format="pyarrow")
+    return read_table(sf_dir, "documents").map_batches(stats, batch_format="pyarrow")
 
 
 QUERIES["doc_contact_stats"] = q_doc_contact_stats
@@ -13215,15 +12159,7 @@ def q_cust_order_count_dist(sf_dir: str):
     fin_schema = pa.schema([("c_count", pa.int64()),
                             ("custdist", pa.int64())])
 
-    def fin(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "c_count" not in t.column_names:
-            return fin_schema.empty_table()
-        return pa.table({"c_count": pc.cast(t["c_count"], pa.int64()),
-                         "custdist": pc.cast(t["custdist"],
-                                             pa.int64())})
-
+    fin = shape(fin_schema)
     return agg.map_batches(fin, batch_format="pyarrow")
 
 
@@ -13261,11 +12197,8 @@ def q_lineitem_corr_matrix(sf_dir: str):
     (√(n·Σx²−Σx²)·√(n·Σy²−Σy²)) evaluated over identical integers
     (the oracle's HUGEINT sums are exact the same way), 4dp-gated.
     One streaming pass; nothing data-sized on the driver."""
-    import ray.data as rd
-
     cols = [c for c, _, _ in _CORR_COLS]
-    ds = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=cols)
+    ds = read_table(sf_dir, "lineitem", columns=cols)
     k = len(_CORR_COLS)
     pair_idx = [(i, j) for i in range(k) for j in range(i + 1, k)]
     names = (["n"] + [f"s{i}" for i in range(k)]
@@ -13278,7 +12211,7 @@ def q_lineitem_corr_matrix(sf_dir: str):
             return part_schema.empty_table()
         xs = []
         for col, _, scale in _CORR_COLS:
-            v = t[col].to_numpy(zero_copy_only=False)
+            v = _non_null_numpy(t, col)
             if scale == 1:
                 xs.append(np.asarray(v, np.float64).astype(np.int64))
             else:
@@ -13374,12 +12307,9 @@ def _weekend_cents_grouped(sf_dir: str):
     integer µs arithmetic the ★ ``weekend_value_ttest`` operator
     pinned (1970-01-01 was a Thursday).  Shared prologue of the
     rank-statistics queries below."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
     part_schema = pa.schema([("cents", pa.int64()),
                              ("c", pa.int64()), ("b", pa.int64())])
 
@@ -13391,7 +12321,7 @@ def _weekend_cents_grouped(sf_dir: str):
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         wk = ((us // 86_400_000_000 + 4) % 7 >= 5).astype(np.int64)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         u, inv = np.unique(cents, return_inverse=True)
         c = np.bincount(inv).astype(np.int64)
@@ -13569,13 +12499,10 @@ def q_user_spend_gini(sf_dir: str):
     partial rows are batch-count-bounded.  The final
     G = ((n+1)·S − 2·ΣC) / (n·S) is ONE shared closed form over
     identical integers; gini 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import running_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "value"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("cents", pa.int64())])
@@ -13586,7 +12513,7 @@ def q_user_spend_gini(sf_dir: str):
         return pa.table({
             "user_id": t["user_id"],
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     per_user = sorted_groupby_agg(
@@ -13667,13 +12594,11 @@ def q_session_overlap_pairs(sf_dir: str):
     INDEPENDENT direct self-join.  Contract: n_sessions < 2³¹ (so
     per-row products stay < 2⁶², raised loudly); batch sums carry
     the (>> 40, & 2⁴⁰−1) exact split."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.scan import running_agg
     from ..stages.windows import sessionize
 
-    sess = sessionize(_events_ds(sf_dir), gap_s=SESSION_GAP_S)
+    sess = sessionize(read_table(sf_dir, "events"), gap_s=SESSION_GAP_S)
 
     b_schema = pa.schema([("tu", pa.int64()), ("delta", pa.int64()),
                           ("pos", pa.int64())])
@@ -13681,10 +12606,8 @@ def q_session_overlap_pairs(sf_dir: str):
     def bounds(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "session_start_us" not in t.column_names:
             return b_schema.empty_table()
-        s = t["session_start_us"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        e = t["session_end_us"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        s = _non_null_numpy(t, "session_start_us").astype(np.int64)
+        e = _non_null_numpy(t, "session_end_us").astype(np.int64)
         n = s.size
         return pa.table({
             "tu": pa.array(np.r_[s, e]),
@@ -13761,12 +12684,9 @@ def q_daily_value_changepoint(sf_dir: str):
     ordered arbitrary-precision driver fold over the days-bounded
     stream; only the reported deviation-in-value-units division is
     4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     d_schema = pa.schema([("day", pa.int64()), ("cents", pa.int64())])
 
@@ -13777,7 +12697,7 @@ def q_daily_value_changepoint(sf_dir: str):
         ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         return pa.table({"day": pa.array(us // 86_400_000_000),
                          "cents": pa.array(cents)})
@@ -13851,21 +12771,17 @@ def _qty_disc_cells(sf_dir: str):
     value DOMAINS, never by corpus size), ONE cell-keyed grouped
     sum, then a cells-bounded ``take_all``.  Returns the sorted list
     of (q, d, m) Python-int triples."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_quantity", "l_discount"])
+    ds = read_table(sf_dir, "lineitem", columns=["l_quantity", "l_discount"])
 
     part_schema = pa.schema([("code", pa.int64()), ("m", pa.int64())])
 
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        q = t["l_quantity"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        d = np.floor(t["l_discount"].to_numpy(zero_copy_only=False)
+        q = _non_null_numpy(t, "l_quantity").astype(np.int64)
+        d = np.floor(_non_null_numpy(t, "l_discount")
                      * 100).astype(np.int64)
         u, cnt = np.unique(q * 1000 + d, return_counts=True)
         return pa.table({"code": pa.array(u),
@@ -14073,12 +12989,9 @@ def q_embedding_pq_codes(sf_dir: str):
     both engines; output integer (vec_id, subspace, code) rows are
     compared exactly.  Codebook broadcast once; one vectorized
     assign per batch."""
-    import ray.data as rd
-
     from ..stages.quantize import pq_encode
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
+    emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return pq_encode(emb, _pq_codebook(sf_dir))
 
 
@@ -14173,12 +13086,9 @@ def q_daily_seasonal_naive_mae(sf_dir: str):
     day-keyed grouped sum (days-bounded); the scoring join runs over
     the days-bounded table on the driver with arbitrary-precision
     ints."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     d_schema = pa.schema([("day", pa.int64()), ("cents", pa.int64())])
 
@@ -14192,7 +13102,7 @@ def q_daily_seasonal_naive_mae(sf_dir: str):
         return pa.table({
             "day": pa.array(us // 86_400_000_000),
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     daily = sorted_groupby_agg(
@@ -14272,7 +13182,7 @@ def _did_prep(t: pa.Table) -> pa.Table:
         "user_id": t["user_id"],
         "us": ts.cast(pa.int64()),
         "cents": pa.array(np.floor(
-            t["value"].to_numpy(zero_copy_only=False) * 100)
+            _non_null_numpy(t, "value") * 100)
             .astype(np.int64))})
 
 
@@ -14286,10 +13196,7 @@ def q_value_diff_in_diff(sf_dir: str):
     over per-cell means from EXACT int64 (n, Σcents) partials — a
     4-cell bounded combine, ONE shared closed form, means/DiD
     4dp-gated.  Raises on an empty cell (DiD undefined)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
     base = ds.map_batches(_did_prep, batch_format="pyarrow")
     cutoff = _events_span_cutoff(base, 1, 2)
 
@@ -14301,7 +13208,7 @@ def q_value_diff_in_diff(sf_dir: str):
             return cell_schema.empty_table()
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         us = t["us"].to_numpy(zero_copy_only=False)
-        cents = t["cents"].to_numpy(zero_copy_only=False)
+        cents = _non_null_numpy(t, "cents")
         cell = (uid % 2) * 2 + (us > cutoff)
         n = np.bincount(cell, minlength=4).astype(np.int64)
         s = np.bincount(cell, weights=cents, minlength=4) \
@@ -14383,12 +13290,9 @@ def q_cuped_adjustment(sf_dir: str):
     folded to Python ints; θ/ρ² are ONE shared closed form over
     identical integers (HUGEINT on the oracle side), 4dp-gated.
     Raises when var(x) or var(y) is zero."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
     base = ds.map_batches(_did_prep, batch_format="pyarrow")
     cutoff = _events_span_cutoff(base, 1, 2)
 
@@ -14507,12 +13411,9 @@ def _daily_cents_rows(sf_dir: str):
     """Ordered (day, cents) pairs of the daily revenue series — ONE
     day-keyed grouped sum is the only corpus-sized work; the result
     is days-bounded and feeds the trend statistics' driver folds."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     d_schema = pa.schema([("day", pa.int64()), ("cents", pa.int64())])
 
@@ -14526,7 +13427,7 @@ def _daily_cents_rows(sf_dir: str):
         return pa.table({
             "day": pa.array(us // 86_400_000_000),
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     daily = sorted_groupby_agg(
@@ -14651,10 +13552,7 @@ def q_dow_value_anova(sf_dir: str):
     identical integers on both engines, F and the grand mean
     4dp-gated.  Groups with no rows are excluded from k on both
     sides; raises when fewer than 2 groups or SSW is zero."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     part_schema = pa.schema([("g", pa.int64()), ("n", pa.int64()),
                              ("s", pa.int64()), ("q", pa.int64())])
@@ -14667,7 +13565,7 @@ def q_dow_value_anova(sf_dir: str):
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         dow = ((us // 86_400_000_000 + 4) % 7).astype(np.int64)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         n = np.bincount(dow, minlength=7).astype(np.int64)
         s = np.bincount(dow, weights=cents, minlength=7) \
@@ -14803,12 +13701,9 @@ def q_source_lang_hhi(sf_dir: str):
     1/HHI = the effective number of languages): ONE (source ×
     lang)-bounded grouped count, per-source integer numerators
     Σ n_i² and totals, only the two final divisions 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["source", "lang"])
+    ds = read_table(sf_dir, "documents", columns=["source", "lang"])
 
     part_schema = pa.schema([("source", pa.string()),
                              ("lang", pa.string()),
@@ -14905,8 +13800,8 @@ def q_term_autocomplete(sf_dir: str):
     s = _searcher(sf_dir)
     terms = s.expand_prefix(AUTOCOMPLETE_PREFIX, max_expansion=1 << 20)
     if not terms:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64())})
+        return pa.schema({"term": pa.string(),
+                          "df": pa.int64()}).empty_table()
     df = np.array([s.df(t) for t in terms], dtype=np.int64)
     # expand_prefix returns terms lexicographically ascending; a STABLE
     # argsort on -df therefore yields (df desc, term asc) exactly.
@@ -14983,13 +13878,10 @@ def q_related_terms(sf_dir: str):
     top-V table), the seed row supplies df_seed, and the cooc>0 slice
     is ranked with a per-block top-k prefilter so only ≤ K·num_blocks
     candidate rows ever reach the driver."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.textstats import _split_tokens
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text"])
+    docs = read_table(sf_dir, "documents", columns=["text"])
     n_docs = docs.count()  # parquet metadata, no scan
 
     part_schema = pa.schema([("term", pa.large_string()),
@@ -15004,7 +13896,7 @@ def q_related_terms(sf_dir: str):
         if len(values) == 0:
             return part_schema.empty_table()
         td = values.dictionary_encode()
-        codes = td.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        codes = _codes(td)
         vocab = td.dictionary
         # stopword mask over the (small) per-batch dictionary, applied
         # to the flat code stream — matches the oracle's `terms` CTE
@@ -15068,8 +13960,8 @@ def q_related_terms(sf_dir: str):
         if t.num_rows == 0 or "df" not in t.column_names:
             return out_schema.empty_table()
         terms_np = np.asarray(t["term"].to_pylist(), dtype=object)
-        dfv = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cooc = t["cooc"].to_numpy(zero_copy_only=False).astype(np.int64)
+        dfv = _non_null_numpy(t, "df").astype(np.int64)
+        cooc = _non_null_numpy(t, "cooc").astype(np.int64)
         m = (cooc > 0) & (terms_np != RELATED_SEED)
         if not m.any():
             return out_schema.empty_table()
@@ -15147,31 +14039,14 @@ def q_cross_split_novelty(sf_dir: str):
     (`stages/dedup.py: cross_split_seen_stats`), the only data-sized
     exchange; DuckDB's md5_number_lower replays the hash (collisions
     included).  Holdout docs with < n tokens emit (0, 0, 0.0)."""
-    import ray.data as rd
-
     from ..stages.dedup import cross_split_seen_stats
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     out = cross_split_seen_stats(docs, n=NOVELTY_N,
                                  split_mod=NOVELTY_SPLIT_MOD)
 
-    def fix(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if t.num_rows == 0 or "doc_id" not in t.column_names:
-            return pa.schema([("doc_id", pa.int64()),
-                              ("n_grams", pa.int64()),
-                              ("n_seen", pa.int64()),
-                              ("seen_frac", pa.float64())]).empty_table()
-        return pa.table({
-            "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "n_grams": pc.cast(t["n_grams"], pa.int64()),
-            "n_seen": pc.cast(t["n_seen"], pa.int64()),
-            "seen_frac": pa.array(_r4(t["seen_frac"].to_numpy(
-                zero_copy_only=False))),
-        })
-
+    fix = shape(pa.schema({"doc_id": pa.int64(), "n_grams": pa.int64(), "n_seen": pa.int64(),
+                           "seen_frac": pa.float64()}), r4=["seen_frac"])
     return out.map_batches(fix, batch_format="pyarrow")
 
 
@@ -15219,25 +14094,14 @@ def q_user_survival_km(sf_dir: str):
     cumulative product of (1 − d_t/n_risk_t) in ascending-t order —
     the same sequential multiply DuckDB's windowed product() runs, so
     both engines hold identical doubles before the 4dp gate."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("us", pa.int64())])
 
-    def prep(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return prep_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        return pa.table({"user_id": t["user_id"],
-                         "us": ts.cast(pa.int64())})
-
+    prep = shape(prep_schema, rename={"us": "ts"})
     base = ds.map_batches(prep, batch_format="pyarrow")
 
     # global log end: one scalar max partial per batch -> driver max
@@ -15264,8 +14128,8 @@ def q_user_survival_km(sf_dir: str):
                          ("n", pa.int64())])
         if t.num_rows == 0 or "f" not in t.column_names:
             return sch.empty_table()
-        f = t["f"].to_numpy(zero_copy_only=False).astype(np.int64)
-        l = t["l"].to_numpy(zero_copy_only=False).astype(np.int64)
+        f = _non_null_numpy(t, "f").astype(np.int64)
+        l = _non_null_numpy(t, "l").astype(np.int64)
         life = (l - f) // _US_PER_DAY
         death = ((log_end - l)
                  >= KM_CENSOR_DAYS * _US_PER_DAY).astype(np.int64)
@@ -15345,13 +14209,10 @@ def q_lang_fertility(sf_dir: str):
     per-batch (docs, tokens, chars) integer partials (tokens = the
     raw punctuation-split stream, stopwords INCLUDED, mirroring
     `_TOK_CTE`; chars = the exact n_chars column)."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.textstats import _split_tokens
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text", "lang", "n_chars"])
+    docs = read_table(sf_dir, "documents", columns=["text", "lang", "n_chars"])
 
     part_schema = pa.schema([("lang", pa.string()),
                              ("docs", pa.int64()),
@@ -15371,11 +14232,9 @@ def q_lang_fertility(sf_dir: str):
         lang = lang.combine_chunks() if isinstance(lang, pa.ChunkedArray) \
             else lang
         ld = lang.dictionary_encode()
-        codes = ld.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        codes = _codes(ld)
         card = len(ld.dictionary)
-        chars = t["n_chars"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        chars = _non_null_numpy(t, "n_chars").astype(np.int64)
         nd = np.bincount(codes, minlength=card).astype(np.int64)
         nt = np.bincount(codes, weights=tokc, minlength=card) \
             .astype(np.int64)
@@ -15470,10 +14329,7 @@ def q_value_mean_bootstrap_ci(sf_dir: str):
     rank-5 / rank-195 order statistics of the B means (LOWER
     convention) — elements both engines select identically.  Mean and
     CI 4dp-gated."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "value"])
 
     part_schema = pa.schema([("b", pa.int64()), ("n", pa.int64()),
                              ("s", pa.int64())])
@@ -15484,7 +14340,7 @@ def q_value_mean_bootstrap_ci(sf_dir: str):
             return part_schema.empty_table()
         ids = t["event_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         u = (ids[:, None] * np.uint64(BOOT_B) + barr) * _BOOT_MIX
         w = np.searchsorted(_POIS1_T, u, side="right").astype(np.int64)
@@ -15563,13 +14419,10 @@ def q_als_one_step(sf_dir: str):
     item step is an item-domain-bounded grouped sum of per-batch
     float partials.  Every u_u is one division of identical exact
     integers; the item-step float sums are 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "event_type", "value"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("event_type", pa.string()),
@@ -15582,7 +14435,7 @@ def q_als_one_step(sf_dir: str):
             "user_id": t["user_id"],
             "event_type": t["event_type"],
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     ui = sorted_groupby_agg(
@@ -15617,8 +14470,7 @@ def q_als_one_step(sf_dir: str):
         it = it.combine_chunks() if isinstance(it, pa.ChunkedArray) \
             else it
         d = it.dictionary_encode()
-        codes = d.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        codes = _codes(d)
         card = len(d.dictionary)
         s = t["s"].to_numpy(zero_copy_only=False).astype(np.float64)
         u = t["u"].to_numpy(zero_copy_only=False)
@@ -15795,10 +14647,7 @@ def q_weekend_value_perm_test(sf_dir: str):
     identical exact integers, and p = (1 + #{b : stat_b ≥ obs}) /
     (B + 1) compares identical doubles.  obs/p 4dp-gated, the
     extreme-count exact."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_id", "ts", "value"])
 
     part_schema = pa.schema([("b", pa.int64()), ("n", pa.int64()),
                              ("s", pa.int64())])
@@ -15816,7 +14665,7 @@ def q_weekend_value_perm_test(sf_dir: str):
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         wk = ((us // 86_400_000_000 + 4) % 7 >= 5)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         u = (ids[:, None] * np.uint64(PERM_B) + barr) * _BOOT_MIX
         coin = (u >= _COIN_T).astype(np.int64)
@@ -15913,12 +14762,9 @@ def q_value_mode_per_type(sf_dir: str):
     desc, cents asc) explicitly: ONE (event_type × cents)-bounded
     grouped count, then the existing per-group top-1 rank sweep
     (`topk_per_group`, cents as the ascending tiebreak)."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg, topk_per_group
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     part_schema = pa.schema([("event_type", pa.string()),
                              ("cents", pa.int64()),
@@ -15930,7 +14776,7 @@ def q_value_mode_per_type(sf_dir: str):
         return pa.table({
             "event_type": t["event_type"],
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64)),
             "one": pa.array(np.ones(t.num_rows, np.int64))})
 
@@ -15997,21 +14843,15 @@ def q_local_supplier_volume(sf_dir: str):
     half-up-rounded integers — so the grouped sum is
     association-free and the single final division is 4dp-gated."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
-    supp = rd.read_parquet(os.path.join(sf_dir, "supplier.parquet"),
-                           columns=["s_suppkey", "s_nationkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey",
+                                                 "l_extendedprice", "l_discount"])
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    supp = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
 
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
     region = pq.read_table(os.path.join(sf_dir, "region.parquet"))
@@ -16027,10 +14867,8 @@ def q_local_supplier_volume(sf_dir: str):
     def prep_li(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return li_schema.empty_table()
-        pc_ = np.floor(t["l_extendedprice"].to_numpy(
-            zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        dp = np.floor(t["l_discount"].to_numpy(
-            zero_copy_only=False) * 100 + 0.5).astype(np.int64)
+        pc_ = np.floor(_non_null_numpy(t, "l_extendedprice") * 100 + 0.5).astype(np.int64)
+        dp = np.floor(_non_null_numpy(t, "l_discount") * 100 + 0.5).astype(np.int64)
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "l_suppkey": t["l_suppkey"],
                          "micros": pa.array(pc_ * (100 - dp))})
@@ -16127,10 +14965,7 @@ def q_daily_type_crosscorr(sf_dir: str):
     Python int (days-bounded fold), the oracle carries them as
     HUGEINT, and r is the identical num/√(dx·dy) expression on both
     sides, 4dp-gated."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "event_type", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
 
     part_schema = pa.schema([("day", pa.int64()), ("g", pa.int64()),
                              ("s", pa.int64())])
@@ -16144,7 +14979,7 @@ def q_daily_type_crosscorr(sf_dir: str):
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = us // 86_400_000_000
         et = t["event_type"].to_numpy(zero_copy_only=False)
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         rows = {"day": [], "g": [], "s": []}
         for g, name in ((0, XCORR_X_TYPE), (1, XCORR_Y_TYPE)):
@@ -16256,10 +15091,7 @@ def q_value_ols_2reg(sf_dir: str):
     the oracle carries them as HUGEINT).  Slopes are single divisions
     of identical exact integers; the intercept mirrors the oracle's
     float expression order term-for-term; all three 4dp-gated."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     names = ["n", "sx1", "sx2", "sy", "sx11", "sx22", "sx12",
              "sx1y", "sx2y"]
@@ -16274,7 +15106,7 @@ def q_value_ols_2reg(sf_dir: str):
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         x1 = (us // 3_600_000_000) % 24
         x2 = ((us // 86_400_000_000 + 4) % 7 >= 5).astype(np.int64)
-        y = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        y = np.floor(_non_null_numpy(t, "value")
                      * 100).astype(np.int64)
         vals = [t.num_rows, int(x1.sum()), int(x2.sum()),
                 int(y.sum()), int((x1 * x1).sum()), int(x2.sum()),
@@ -16368,17 +15200,14 @@ def q_benford_value(sf_dir: str):
     anywhere), 4dp-gated."""
     import math
 
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["value"])
+    ds = read_table(sf_dir, "events", columns=["value"])
 
     part_schema = pa.schema([("dig", pa.int64()), ("c", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         d = cents[cents > 0]
         if len(d) == 0:
@@ -16449,13 +15278,9 @@ def q_parts_skyline(sf_dir: str):
     sweep is cross-validated against the naive dominance form.
     Price cents are half-up (floor(p·100 + 0.5)), replayed exactly
     both sides."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_size",
-                                  "p_retailprice"])
+    ds = read_table(sf_dir, "part", columns=["p_partkey", "p_size", "p_retailprice"])
 
     prep_schema = pa.schema([("cents", pa.int64()),
                              ("size", pa.int64())])
@@ -16463,11 +15288,9 @@ def q_parts_skyline(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return prep_schema.empty_table()
-        cents = np.floor(t["p_retailprice"]
-                         .to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "p_retailprice")
                          * 100 + 0.5).astype(np.int64)
-        size = t["p_size"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        size = _non_null_numpy(t, "p_size").astype(np.int64)
         uk, inv = np.unique(cents, return_inverse=True)
         ms = np.zeros(len(uk), dtype=np.int64)
         np.maximum.at(ms, inv, size)
@@ -16498,17 +15321,15 @@ def q_parts_skyline(sf_dir: str):
     def pick(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return out_schema.empty_table()
-        cents = np.floor(t["p_retailprice"]
-                         .to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "p_retailprice")
                          * 100 + 0.5).astype(np.int64)
-        size = t["p_size"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        size = _non_null_numpy(t, "p_size").astype(np.int64)
         pos = np.searchsorted(kp, cents)
         pos_c = np.minimum(pos, len(kp) - 1)
         m = (kp[pos_c] == cents) & (ks[pos_c] == size)
         return pa.table({
             "p_partkey": pa.array(
-                t["p_partkey"].to_numpy(zero_copy_only=False)
+                _non_null_numpy(t, "p_partkey")
                 .astype(np.int64)[m]),
             "cents": pa.array(cents[m]),
             "size": pa.array(size[m])})
@@ -16556,10 +15377,7 @@ def q_daily_acf(sf_dir: str):
     the only corpus-sized work; every batch carries its day range so
     zero-revenue edge days cannot shift the fill-0 grid (the
     daily_type_crosscorr contract)."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     part_schema = pa.schema([("day", pa.int64()), ("s", pa.int64())])
 
@@ -16571,7 +15389,7 @@ def q_daily_acf(sf_dir: str):
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = us // 86_400_000_000
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         lo = int(day.min())
         cnt = np.bincount(day - lo, weights=cents).astype(np.int64)
@@ -16659,25 +15477,14 @@ def q_churn_logit_newton(sf_dir: str):
     Σv, Σxv) fold to Python ints over users-bounded partials (HUGEINT
     in the oracle); both coefficients are single divisions of
     identical exact integers, 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("us", pa.int64())])
 
-    def prep(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return prep_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        return pa.table({"user_id": t["user_id"],
-                         "us": ts.cast(pa.int64())})
-
+    prep = shape(prep_schema, rename={"us": "ts"})
     base = ds.map_batches(prep, batch_format="pyarrow")
 
     span_schema = pa.schema([("lo", pa.int64()), ("hi", pa.int64())])
@@ -16706,9 +15513,8 @@ def q_churn_logit_newton(sf_dir: str):
     def moments(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "last_us" not in t.column_names:
             return mom_schema.empty_table()
-        last = t["last_us"].to_numpy(zero_copy_only=False)
-        x = t["n_events"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        last = _non_null_numpy(t, "last_us")
+        x = _non_null_numpy(t, "n_events").astype(np.int64)
         v = np.where(last <= cutoff, 1, -1).astype(np.int64)
         vals = [t.num_rows, int(x.sum()), int((x * x).sum()),
                 int(v.sum()), int((x * v).sum())]
@@ -16770,12 +15576,9 @@ def q_bigram_llr(sf_dir: str):
     shared 2·(t11+t12+t21+t22) float expression — zero cells
     contribute exactly 0 on both engines — 4dp-gated.  Same
     pigeonhole-bounded two-pass scale shape as bigram_pmi."""
-    import ray.data as rd
-
     from ..stages.frequent import bigram_llr
 
-    return bigram_llr(rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]))
+    return bigram_llr(read_table(sf_dir, "documents", columns=["text"]))
 
 
 QUERIES["bigram_llr"] = q_bigram_llr
@@ -16842,13 +15645,10 @@ def q_bloom_fp_audit(sf_dir: str):
     on the driver (bits/8 bytes each); probes are a pure map with
     scalar partials; fp_rate is ONE division of exact integers,
     4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import _bloom_positions, bloom_from_keys
 
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey"])
+    orders = read_table(sf_dir, "orders", columns=["o_custkey"])
     bm = bloom_from_keys(orders, "o_custkey",
                          bits=BLOOM_FP_BITS, k=BLOOM_FP_K)
 
@@ -16865,7 +15665,7 @@ def q_bloom_fp_audit(sf_dir: str):
     def mem_prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return mem_schema.empty_table()
-        uk = np.unique(t["o_custkey"].to_numpy(zero_copy_only=False)
+        uk = np.unique(_non_null_numpy(t, "o_custkey")
                        .astype(np.int64))
         return pa.table({"o_custkey": pa.array(uk),
                          "one": pa.array(np.ones(len(uk), np.int64))})
@@ -16880,8 +15680,7 @@ def q_bloom_fp_audit(sf_dir: str):
     def mem_probe(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "o_custkey" not in t.column_names:
             return pair_schema.empty_table()
-        keys = t["o_custkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        keys = _non_null_numpy(t, "o_custkey").astype(np.int64)
         return pa.table({"n": pa.array([len(keys)]),
                          "h": pa.array([hits_of(keys)])})
 
@@ -16891,14 +15690,12 @@ def q_bloom_fp_audit(sf_dir: str):
         n_members += r["n"]
         n_member_hits += r["h"]
 
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
 
     def probe(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pair_schema.empty_table()
-        keys = t["c_custkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64) + BLOOM_FP_PROBE_OFFSET
+        keys = _non_null_numpy(t, "c_custkey").astype(np.int64) + BLOOM_FP_PROBE_OFFSET
         return pa.table({"n": pa.array([len(keys)]),
                          "h": pa.array([hits_of(keys)])})
 
@@ -16987,13 +15784,11 @@ def q_nb_lang_classify(sf_dir: str):
     import math
 
     import ray
-    import ray.data as rd
 
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.textstats import _split_tokens, corpus_token_counts
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "lang", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "lang", "text"])
 
     # ---- pass 1: global vocab head --------------------------------
     head = corpus_token_counts(ds) \
@@ -17052,8 +15847,7 @@ def q_nb_lang_classify(sf_dir: str):
         tok_lang = langs[parents]
         lcode, linv = np.unique(tok_lang, return_inverse=True)
         denc = values.dictionary_encode()
-        vcodes = denc.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        vcodes = _codes(denc)
         vb = len(denc.dictionary)
         key = linv.astype(np.int64) * vb + vcodes
         uk, cnt = np.unique(key, return_counts=True)
@@ -17206,12 +16000,9 @@ def q_doc_readability(sf_dir: str):
     flesch = 206.835 − 1.015·(w/s) − 84.6·(y/w) ONE shared float
     expression, 4dp-gated.  Pure per-batch map — no shuffle at
     all."""
-    import ray.data as rd
-
     from ..stages.textstats import _split_tokens
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     out_schema = pa.schema([("doc_id", pa.int64()),
                             ("n_words", pa.int64()),
@@ -17279,25 +16070,14 @@ def q_user_hazard_na(sf_dir: str):
     ascending-t cumulative SUM of identical exact-integer ratios is
     the same sequential fold DuckDB's windowed sum() runs, 4dp-gated
     like the KM product."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("us", pa.int64())])
 
-    def prep(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return prep_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        return pa.table({"user_id": t["user_id"],
-                         "us": ts.cast(pa.int64())})
-
+    prep = shape(prep_schema, rename={"us": "ts"})
     base = ds.map_batches(prep, batch_format="pyarrow")
 
     def mx(t: pa.Table) -> pa.Table:
@@ -17322,8 +16102,8 @@ def q_user_hazard_na(sf_dir: str):
                          ("n", pa.int64())])
         if t.num_rows == 0 or "f" not in t.column_names:
             return sch.empty_table()
-        f = t["f"].to_numpy(zero_copy_only=False).astype(np.int64)
-        l = t["l"].to_numpy(zero_copy_only=False).astype(np.int64)
+        f = _non_null_numpy(t, "f").astype(np.int64)
+        l = _non_null_numpy(t, "l").astype(np.int64)
         life = (l - f) // _US_PER_DAY
         death = ((log_end - l)
                  >= KM_CENSOR_DAYS * _US_PER_DAY).astype(np.int64)
@@ -17408,10 +16188,7 @@ def q_value_log2_quantiles(sf_dir: str):
     (num·n + den − 1) // den; the answer per quantile is the smallest
     bucket whose cumulative count reaches the rank, reported with its
     exact [2^b, 2^(b+1)−1] value bounds.  All-integer output."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["value"])
+    ds = read_table(sf_dir, "events", columns=["value"])
 
     pow2 = (np.int64(1) << np.arange(63)).astype(np.int64)
     part_schema = pa.schema([("b", pa.int64()), ("c", pa.int64())])
@@ -17419,7 +16196,7 @@ def q_value_log2_quantiles(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         cents = cents[cents >= 1]
         if len(cents) == 0:
@@ -17498,10 +16275,7 @@ def q_daily_holt_linear(sf_dir: str):
     doubles are bit-identical before the 4dp gate.  ONE day-bounded
     grouped cents sum over the fill-0 day grid is the only
     corpus-sized work."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     part_schema = pa.schema([("day", pa.int64()), ("s", pa.int64())])
 
@@ -17513,7 +16287,7 @@ def q_daily_holt_linear(sf_dir: str):
             else ts
         us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
         day = us // 86_400_000_000
-        cents = np.floor(t["value"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         lo = int(day.min())
         cnt = np.bincount(day - lo, weights=cents).astype(np.int64)
@@ -17600,13 +16374,10 @@ def q_user_ltv_curve(sf_dir: str):
     the (age × rev) table is age-bounded, the cumulative sum is an
     exact INTEGER windowed sum on both engines, and only the final
     per-age division is 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
+    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("us", pa.int64()),
@@ -17622,7 +16393,7 @@ def q_user_ltv_curve(sf_dir: str):
             "user_id": t["user_id"],
             "us": ts.cast(pa.int64()),
             "cents": pa.array(np.floor(
-                t["value"].to_numpy(zero_copy_only=False) * 100)
+                _non_null_numpy(t, "value") * 100)
                 .astype(np.int64))})
 
     base = ds.map_batches(prep, batch_format="pyarrow")
@@ -17644,11 +16415,9 @@ def q_user_ltv_curve(sf_dir: str):
     def per_age(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "first_us" not in t.column_names:
             return age_schema.empty_table()
-        us = t["us"].to_numpy(zero_copy_only=False).astype(np.int64)
-        f = t["first_us"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cents = t["cents"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        us = _non_null_numpy(t, "us").astype(np.int64)
+        f = _non_null_numpy(t, "first_us").astype(np.int64)
+        cents = _non_null_numpy(t, "cents").astype(np.int64)
         age = (us - f) // _US_PER_DAY
         lo = int(age.min())
         rev = np.bincount(age - lo, weights=cents).astype(np.int64)
@@ -17724,7 +16493,7 @@ def q_cluster_size_dist(sf_dir: str):
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.dedup import near_dup_clusters
 
-    out = near_dup_clusters(_docs_ds(sf_dir),
+    out = near_dup_clusters(read_table(sf_dir, "documents"),
                             threshold=DEDUP_CLUSTER_THRESHOLD)
 
     prep_schema = pa.schema([("component", pa.int64()),
@@ -17752,7 +16521,7 @@ def q_cluster_size_dist(sf_dir: str):
     def hist_part(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "sz" not in t.column_names:
             return hist_schema.empty_table()
-        sz = t["sz"].to_numpy(zero_copy_only=False).astype(np.int64)
+        sz = _non_null_numpy(t, "sz").astype(np.int64)
         uk, cnt = np.unique(sz, return_counts=True)
         return pa.table({"cluster_size": pa.array(uk),
                          "n_clusters": pa.array(
@@ -17793,12 +16562,9 @@ def q_selfjoin_size_probe(sf_dir: str):
     runs the ACTUAL quadratic self-join count at test scale — an
     INDEPENDENT cross-validation of the Σn² identity.  All moments
     fold to Python ints (HUGEINT on the oracle side)."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
-    ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id"])
+    ds = read_table(sf_dir, "events", columns=["user_id"])
 
     prep_schema = pa.schema([("user_id", pa.int64()),
                              ("n", pa.int64())])
@@ -17806,8 +16572,7 @@ def q_selfjoin_size_probe(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return prep_schema.empty_table()
-        u = t["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        u = _non_null_numpy(t, "user_id").astype(np.int64)
         uk, cnt = np.unique(u, return_counts=True)
         return pa.table({"user_id": pa.array(uk),
                          "n": pa.array(cnt.astype(np.int64))})
@@ -17821,7 +16586,7 @@ def q_selfjoin_size_probe(sf_dir: str):
     def moments(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "n" not in t.column_names:
             return mom_schema.empty_table()
-        n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = _non_null_numpy(t, "n").astype(np.int64)
         vals = [len(n), int(n.sum()), int((n * n).sum()),
                 int(n.max())]
         return pa.table({"i": pa.array(np.arange(4, dtype=np.int64)),
@@ -17874,12 +16639,9 @@ def q_skipgram_counts(sf_dir: str):
     GloVe/word2vec co-occurrence-matrix preprocessing step, exact via
     the same pigeonhole-bounded two-pass shape as bigram_pmi (the
     w×-bigger pair stream never leaves the batch)."""
-    import ray.data as rd
-
     from ..stages.frequent import skipgram_counts
 
-    return skipgram_counts(rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]))
+    return skipgram_counts(read_table(sf_dir, "documents", columns=["text"]))
 
 
 QUERIES["skipgram_counts"] = q_skipgram_counts
@@ -17926,15 +16688,6 @@ Q6_LO_US = 946_684_800_000_000       # 2000-01-01T00:00:00Z
 Q6_HI_US = 978_307_200_000_000       # 2001-01-01T00:00:00Z
 
 
-def _non_null_numpy(t: pa.Table, name: str) -> np.ndarray:
-    """Column `name` as numpy; raises on nulls, which would become NaN
-    and then an undefined int64 in the exact-integer encodings."""
-    if t[name].null_count:
-        raise ValueError(f"column {name!r} has {t[name].null_count} null(s); "
-                         "exact-integer encodings need non-null values")
-    return t[name].to_numpy(zero_copy_only=False)
-
-
 def _li_ints(t: pa.Table):
     """Shared exact integer encodings for the lineitem money columns:
     q = floor(quantity + 0.5), pc = price cents, dp = discount pct,
@@ -17966,8 +16719,6 @@ def q_pricing_summary(sf_dir: str):
     arbitrary-precision Python ints, and each reported
     dollar/average value is ONE division of identical exact integers
     on both engines, 4dp-gated.  No shuffle anywhere."""
-    import ray.data as rd
-
     part_schema = pa.schema([
         ("rf", pa.string()), ("ls", pa.string()), ("n", pa.int64()),
         ("sq", pa.int64()), ("spc", pa.int64()), ("sdpm", pa.int64()),
@@ -18004,10 +16755,9 @@ def q_pricing_summary(sf_dir: str):
         return pa.table({nm: pa.array(rows[nm], part_schema.field(nm).type)
                          for nm in part_schema.names})
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_quantity", "l_extendedprice", "l_discount", "l_tax",
-                 "l_returnflag", "l_linestatus", "l_shipdate"])
+    ds = read_table(sf_dir, "lineitem", columns=["l_quantity", "l_extendedprice",
+                                                 "l_discount", "l_tax", "l_returnflag",
+                                                 "l_linestatus", "l_shipdate"])
     parts = ds.map_batches(partials, batch_format="pyarrow").take_all()
     acc: dict = {}
     for r in parts:
@@ -18081,8 +16831,6 @@ def q_revenue_band_q6(sf_dir: str):
     final division is 4dp-gated.  No shuffle, no join — the shape
     that lets a 100 TB scan answer this with nothing but map tasks
     and a 2-integer combine."""
-    import ray.data as rd
-
     part_schema = pa.schema([("n", pa.int64()), ("s", pa.int64())])
 
     def partials(t: pa.Table) -> pa.Table:
@@ -18098,10 +16846,8 @@ def q_revenue_band_q6(sf_dir: str):
                          "s": pa.array([int((pc_[keep] * dp[keep]).sum())],
                                        pa.int64())})
 
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_quantity", "l_extendedprice", "l_discount", "l_tax",
-                 "l_shipdate"])
+    ds = read_table(sf_dir, "lineitem", columns=["l_quantity", "l_extendedprice",
+                                                 "l_discount", "l_tax", "l_shipdate"])
     parts = ds.map_batches(partials, batch_format="pyarrow").take_all()
     n = sum(r["n"] for r in parts)
     s = sum(r["s"] for r in parts)
@@ -18171,8 +16917,6 @@ def q_returned_item_revenue(sf_dir: str):
     hydrate through a 20-key broadcast filter over customer.
     revenue and c_acctbal are single divisions of exact integers,
     4dp-gated."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
@@ -18186,11 +16930,11 @@ def q_returned_item_revenue(sf_dir: str):
         keep = rf == "R"
         if not keep.any():
             return li_schema.empty_table()
-        p = t["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-        d = t["l_discount"].to_numpy(zero_copy_only=False)[keep]
+        p = _non_null_numpy(t, "l_extendedprice")[keep]
+        d = _non_null_numpy(t, "l_discount")[keep]
         mic = np.floor(p * 100 + 0.5).astype(np.int64) \
             * (100 - np.floor(d * 100 + 0.5).astype(np.int64))
-        k = t["l_orderkey"].to_numpy(zero_copy_only=False)[keep]
+        k = _non_null_numpy(t, "l_orderkey")[keep]
         return pa.table({"l_orderkey": pa.array(k.astype(np.int64)),
                          "micros": pa.array(mic)})
 
@@ -18208,15 +16952,12 @@ def q_returned_item_revenue(sf_dir: str):
             "o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
             "o_custkey": t["o_custkey"].filter(pa.array(keep))})
 
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_returnflag"]).map_batches(
-        prep_li, batch_format="pyarrow")
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        prep_orders, batch_format="pyarrow")
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice",
+                                                 "l_discount", "l_returnflag"]) \
+        .map_batches(prep_li, batch_format="pyarrow")
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey",
+                                                   "o_orderdate"]) \
+        .map_batches(prep_orders, batch_format="pyarrow")
 
     j = sort_merge_join(li, orders, "l_orderkey", "o_orderkey",
                         left_schema=li_schema, right_schema=ord_schema,
@@ -18225,11 +16966,7 @@ def q_returned_item_revenue(sf_dir: str):
     proj_schema = pa.schema([("c_custkey", pa.int64()),
                              ("micros", pa.int64())])
 
-    def proj(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "o_custkey" not in t.column_names:
-            return proj_schema.empty_table()
-        return pa.table({"c_custkey": t["o_custkey"].cast(pa.int64()),
-                         "micros": t["micros"].cast(pa.int64())})
+    proj = shape(proj_schema, rename={"c_custkey": "o_custkey"})
 
     agg = sorted_groupby_agg(
         j.map_batches(proj, batch_format="pyarrow"),
@@ -18239,8 +16976,8 @@ def q_returned_item_revenue(sf_dir: str):
     def block_top(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "micros" not in t.column_names:
             return proj_schema.empty_table()
-        mic = t["micros"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ck = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        mic = _non_null_numpy(t, "micros").astype(np.int64)
+        ck = _non_null_numpy(t, "c_custkey").astype(np.int64)
         order = np.lexsort((ck, -mic))[:20]
         return pa.table({"c_custkey": pa.array(ck[order]),
                          "micros": pa.array(mic[order])})
@@ -18270,10 +17007,8 @@ def q_returned_item_revenue(sf_dir: str):
             "c_name": t["c_name"].filter(pa.array(keep)),
             "c_acctbal": t["c_acctbal"].filter(pa.array(keep))})
 
-    rows = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name", "c_acctbal"]).map_batches(
-        hyd, batch_format="pyarrow").take_all()
+    rows = read_table(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"]) \
+        .map_batches(hyd, batch_format="pyarrow").take_all()
     name = {r["c_custkey"]: r["c_name"] for r in rows}
     bal = {r["c_custkey"]: r["c_acctbal"] for r in rows}
     bal_c = {k: int(np.floor(v * 100 + 0.5)) for k, v in bal.items()}
@@ -18315,8 +17050,6 @@ def q_top_supplier_revenue(sf_dir: str):
     integers, so 'equals the max' is tie-robust where float revenue
     would not be); winners hydrate s_name through a tiny broadcast
     filter.  total_revenue is the single 4dp-gated division."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
 
     li_schema = pa.schema([("s_suppkey", pa.int64()),
@@ -18329,20 +17062,18 @@ def q_top_supplier_revenue(sf_dir: str):
         keep = (us >= Q15_LO_US) & (us < Q15_HI_US)
         if not keep.any():
             return li_schema.empty_table()
-        p = t["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-        d = t["l_discount"].to_numpy(zero_copy_only=False)[keep]
+        p = _non_null_numpy(t, "l_extendedprice")[keep]
+        d = _non_null_numpy(t, "l_discount")[keep]
         mic = np.floor(p * 100 + 0.5).astype(np.int64) \
             * (100 - np.floor(d * 100 + 0.5).astype(np.int64))
-        k = t["l_suppkey"].to_numpy(zero_copy_only=False)[keep]
+        k = _non_null_numpy(t, "l_suppkey")[keep]
         return pa.table({"s_suppkey": pa.array(k.astype(np.int64)),
                          "micros": pa.array(mic)})
 
     agg = sorted_groupby_agg(
-        rd.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_suppkey", "l_extendedprice", "l_discount",
-                     "l_shipdate"]).map_batches(
-            prep, batch_format="pyarrow"),
+        read_table(sf_dir, "lineitem", columns=["l_suppkey", "l_extendedprice",
+                                                "l_discount", "l_shipdate"]) \
+            .map_batches(prep, batch_format="pyarrow"),
         ["s_suppkey"], [("micros", "sum", "micros")],
         in_schema=li_schema).materialize()
 
@@ -18394,11 +17125,9 @@ def q_top_supplier_revenue(sf_dir: str):
             "s_suppkey": t["s_suppkey"].filter(pa.array(keep)),
             "s_name": t["s_name"].filter(pa.array(keep))})
 
-    import ray.data as rd2
-    nm = {r["s_suppkey"]: r["s_name"] for r in rd2.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_name"]).map_batches(
-        hyd, batch_format="pyarrow").take_all()}
+    sup = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
+    nm = {r["s_suppkey"]: r["s_name"]
+          for r in sup.map_batches(hyd, batch_format="pyarrow").take_all()}
     return pa.table({
         "s_suppkey": pa.array(keys, pa.int64()),
         "s_name": pa.array([nm[k] for k in keys], pa.string()),
@@ -18434,21 +17163,18 @@ def q_cust_sales_opportunity(sf_dir: str):
     (SQL NOT EXISTS) is the data-sized exchange; the nation-keyed
     grouped count/sum is 25-bounded.  totacctbal is the single
     4dp-gated division."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
-    cust_cols = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey", "c_acctbal"])
+    cust_cols = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey",
+                                                        "c_acctbal"])
 
     part_schema = pa.schema([("n", pa.int64()), ("s", pa.int64())])
 
     def pos_partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        cents = np.floor(t["c_acctbal"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "c_acctbal")
                          * 100 + 0.5).astype(np.int64)
         pos = cents > 0
         return pa.table({"n": pa.array([int(pos.sum())], pa.int64()),
@@ -18469,7 +17195,7 @@ def q_cust_sales_opportunity(sf_dir: str):
     def above_avg(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return f_schema.empty_table()
-        cents = np.floor(t["c_acctbal"].to_numpy(zero_copy_only=False)
+        cents = np.floor(_non_null_numpy(t, "c_acctbal")
                          * 100 + 0.5).astype(np.int64)
         keep = cents * n_pos > s_pos
         if not keep.any():
@@ -18496,9 +17222,7 @@ def q_cust_sales_opportunity(sf_dir: str):
                          t["o_custkey"].filter(pa.array(keep))
                          .cast(pa.int64())})
 
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderdate"]).map_batches(
+    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"]).map_batches(
         recent, batch_format="pyarrow")
 
     anti = sort_merge_join(rich, orders, "c_custkey", "o_custkey",
@@ -18582,8 +17306,6 @@ def q_nation_volume_shipping(sf_dir: str):
     exchanges; the direction filter is a pure vectorized predicate
     over the two nationkey columns; the grouped sum is bounded by
     2 × #years cells.  revenue is the single 4dp-gated division."""
-    import ray.data as rd
-
     from ..stages.aggregates import sorted_groupby_agg
     from ..stages.join import sort_merge_join
 
@@ -18598,8 +17320,8 @@ def q_nation_volume_shipping(sf_dir: str):
         us = _ts_us_col(t, "l_shipdate")
         year = (us.astype("datetime64[us]")
                 .astype("datetime64[Y]").astype(np.int64) + 1970)
-        p = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-        d = t["l_discount"].to_numpy(zero_copy_only=False)
+        p = _non_null_numpy(t, "l_extendedprice")
+        d = _non_null_numpy(t, "l_discount")
         mic = np.floor(p * 100 + 0.5).astype(np.int64) \
             * (100 - np.floor(d * 100 + 0.5).astype(np.int64))
         return pa.table({
@@ -18607,17 +17329,13 @@ def q_nation_volume_shipping(sf_dir: str):
             "l_suppkey": t["l_suppkey"].cast(pa.int64()),
             "micros": pa.array(mic), "l_year": pa.array(year)})
 
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount", "l_shipdate"]).map_batches(
-        prep_li, batch_format="pyarrow")
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
-    supp = rd.read_parquet(os.path.join(sf_dir, "supplier.parquet"),
-                           columns=["s_suppkey", "s_nationkey"])
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey",
+                                                 "l_extendedprice", "l_discount",
+                                                 "l_shipdate"]) \
+        .map_batches(prep_li, batch_format="pyarrow")
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+    supp = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
 
     j1 = sort_merge_join(li, orders, "l_orderkey", "o_orderkey",
                          left_schema=li_schema, partitions=8)
@@ -18636,7 +17354,9 @@ def q_nation_volume_shipping(sf_dir: str):
                              ("micros", pa.int64()),
                              ("one", pa.int64())])
     a, b = Q7_NATION_A, Q7_NATION_B
-    names = {a: f"NATION_{a}", b: f"NATION_{b}"}
+    names = {r["n_nationkey"]: r["n_name"] for r in read_table(
+        sf_dir, "nation", columns=["n_nationkey", "n_name"]).take_all()
+        if r["n_nationkey"] in (a, b)}
 
     def direction(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "c_nationkey" not in t.column_names:
@@ -18716,8 +17436,6 @@ def q_promo_revenue_share(sf_dir: str):
     partial pair and the driver holds two Python ints.  The share is
     the oracle's exact expression 100.0 · promo / total evaluated
     over identical exact integers on both engines, 4dp-gated."""
-    import ray.data as rd
-
     from ..stages.join import sort_merge_join
 
     li_schema = pa.schema([("l_partkey", pa.int64()),
@@ -18730,21 +17448,18 @@ def q_promo_revenue_share(sf_dir: str):
         keep = (us >= Q14_LO_US) & (us < Q14_HI_US)
         if not keep.any():
             return li_schema.empty_table()
-        p = t["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
-        d = t["l_discount"].to_numpy(zero_copy_only=False)[keep]
+        p = _non_null_numpy(t, "l_extendedprice")[keep]
+        d = _non_null_numpy(t, "l_discount")[keep]
         mic = np.floor(p * 100 + 0.5).astype(np.int64) \
             * (100 - np.floor(d * 100 + 0.5).astype(np.int64))
-        k = t["l_partkey"].to_numpy(zero_copy_only=False)[keep]
+        k = _non_null_numpy(t, "l_partkey")[keep]
         return pa.table({"l_partkey": pa.array(k.astype(np.int64)),
                          "micros": pa.array(mic)})
 
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"]).map_batches(
-        prep_li, batch_format="pyarrow")
-    part = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                           columns=["p_partkey", "p_type"])
+    li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice",
+                                                 "l_discount", "l_shipdate"]) \
+        .map_batches(prep_li, batch_format="pyarrow")
+    part = read_table(sf_dir, "part", columns=["p_partkey", "p_type"])
     j = sort_merge_join(li, part, "l_partkey", "p_partkey",
                         left_schema=li_schema, partitions=8)
 

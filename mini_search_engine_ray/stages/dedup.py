@@ -271,10 +271,6 @@ def minhash_candidate_pairs(ds, *, text_col="text", id_col="doc_id",
     return deduped, sigs
 
 
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float((sig_a == sig_b).mean())
-
-
 def verify_pairs_jaccard(
     ds, pairs, *, text_col: str = "text", id_col: str = "doc_id", k: int = 3,
     join_partitions: int | None = None,
@@ -452,13 +448,6 @@ def simhash_batch(
             "simhash": pa.array(out.astype(np.int64)),  # reinterpret to int64 for parquet/duckdb
         }
     )
-
-
-def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = (a.astype(np.uint64)) ^ (b.astype(np.uint64))
-    return np.bitwise_count(x.view(np.uint64)) if hasattr(np, "bitwise_count") else np.unpackbits(
-        x.view(np.uint8).reshape(len(x), 8), axis=1
-    ).sum(axis=1)
 
 
 def dedup_exact(ds, *, text_col: str = "text", id_col: str = "doc_id"):

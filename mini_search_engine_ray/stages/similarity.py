@@ -510,12 +510,9 @@ def group_centroids(ds, key_col: str, *, emb_col: str = "embedding"):
             pa.array(np.arange(0, (r + 1) * d, d, dtype=np.int32)),
             pa.array(mat.ravel(), pa.float64()))
 
-    def _typed_empty(schema: pa.Schema) -> pa.Table:
-        return pa.table({f.name: pa.array([], f.type) for f in schema})
-
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return _typed_empty(partial_schema)
+            return partial_schema.empty_table()
         m = _emb_matrix(t, emb_col).astype(np.float64)
         keys = t[key_col]
         keys = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
@@ -535,7 +532,7 @@ def group_centroids(ds, key_col: str, *, emb_col: str = "embedding"):
 
     def combine(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return _typed_empty(out_schema)
+            return out_schema.empty_table()
         from .aggregates import key_run_breaks
 
         brk = key_run_breaks(t, [key_col])
@@ -790,38 +787,6 @@ def pca_fit(ds, *, k: int, emb_col: str = "embedding"):
                  np.abs(comps).argmax(axis=1)] < 0
     comps[flip] *= -1.0
     return mean, comps, w[order]
-
-
-def pca_transform(ds, mean: np.ndarray, components: np.ndarray, *,
-                  emb_col: str = "embedding", out_col: str = "pca",
-                  explained_var: np.ndarray | None = None):
-    """Project each embedding onto the fitted components — the mean
-    and (k, d) matrix broadcast ONCE via ``ray.put``, one matmul per
-    batch; appends ``out_col`` as list<double>.  Pass the fit's
-    ``explained_var`` to WHITEN: each projected coordinate is divided
-    by its component's standard deviation, giving unit variance per
-    axis (the usual pre-clustering normalization)."""
-    import ray
-
-    comps = np.asarray(components, dtype=np.float64)
-    if explained_var is not None:
-        ev = np.asarray(explained_var, dtype=np.float64)
-        if ev.shape != (len(comps),):
-            raise ValueError("explained_var must have one entry per "
-                             "component")
-        comps = comps / np.sqrt(np.maximum(ev, 1e-30))[:, None]
-    shared = ray.put((np.asarray(mean, dtype=np.float64), comps))
-
-    def apply(t: pa.Table) -> pa.Table:
-        mu, comps = ray.get(shared)
-        x = _emb_matrix(t, emb_col).astype(np.float64)
-        if x.size == 0:
-            return t.append_column(out_col,
-                                   pa.array([], pa.list_(pa.float64())))
-        proj = (x - mu) @ comps.T
-        return t.append_column(out_col, pa.array(list(proj)))
-
-    return ds.map_batches(apply, batch_format="pyarrow")
 
 
 def random_sign_projection(ds, out_dim: int, *, salt: int = 0,

@@ -861,51 +861,6 @@ def hll_registers_per_group(ds, key_col: str, *, text_col: str = "text",
         [key_col, "bucket"], [("rho", "max", "rho")])
 
 
-def hll_estimate_per_group(registers, *, key_col: str,
-                           precision_bits: int = 10):
-    """Per-key bias-corrected HLL estimates from a grouped register
-    Dataset (:func:`hll_registers_per_group` output) — one register-
-    sized sort on the KEY ALONE first (the grouped-agg output is
-    (key, bucket)-sorted, under which one key's rows CAN straddle a
-    block boundary; sorting by the key makes every key's ≤2^p rows
-    equal-keyed, so Ray's sort invariant puts them in one block), then
-    one vectorized run sweep per block applying the same Flajolet
-    alpha + linear-counting small-range fix as the global
-    :func:`hll_estimate`.  Returns (key_col, estimate)."""
-    m = 1 << precision_bits
-    alpha = 0.7213 / (1.0 + 1.079 / m)
-
-    def sweep(t: pa.Table) -> pa.Table:
-        kt = t.schema.field(key_col).type if key_col in t.column_names \
-            else pa.large_string()
-        if t.num_rows == 0:
-            return pa.table({key_col: pa.array([], kt),
-                             "estimate": pa.array([], pa.float64())})
-        from .aggregates import key_run_breaks
-
-        keys = t[key_col]
-        keys = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) \
-            else keys
-        n = t.num_rows
-        brk = key_run_breaks(t, [key_col])
-        starts = np.flatnonzero(np.r_[True, brk])
-        lens = np.diff(np.r_[starts, n]).astype(np.int64)
-        rho = t["rho"].to_numpy(zero_copy_only=False).astype(np.float64)
-        inv_sum = np.add.reduceat(np.exp2(-rho), starts)
-        zeros = m - lens                       # empty buckets, rho=0
-        denom = inv_sum + zeros                # 2^-0 per empty bucket
-        e = alpha * m * m / denom
-        small = (e <= 2.5 * m) & (zeros > 0)
-        with np.errstate(divide="ignore"):
-            lc = m * np.log(m / np.maximum(zeros, 1))
-        est = np.where(small, lc, e)
-        return pa.table({key_col: keys.take(pa.array(starts)),
-                         "estimate": pa.array(est)})
-
-    return registers.sort(key_col).map_batches(sweep, batch_size=None,
-                                               batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------
 # Composite document quality gate (Gopher-style rule battery)
 # ---------------------------------------------------------------------

@@ -128,7 +128,7 @@ def save_tombstones(index_dir: str, terms: set[str]) -> None:
 POSTINGS_CACHE_MAX = 100_000
 
 COUNTER_KEYS = ("queries", "postings_scored", "blocks_skipped",
-                "candidates_admitted", "docs_rescored")
+                "candidates_admitted")
 
 
 def _bm25_den(tf, dl, avgdl: float):
@@ -606,54 +606,23 @@ class IndexSearcher:
         return np.setdiff1d(inc, exc, assume_unique=True)
 
     def search_phrase(self, phrase: list[str]) -> np.ndarray:
-        if not self.positional:
-            raise NotImplementedError("phrase search requires a positional index")
-        per_kw = self._analyze_keywords(phrase)
-        if not per_kw or any(not toks for toks in per_kw):
-            return np.empty(0, dtype=np.int64)
-        seq = [t for toks in per_kw for t in toks]
-        posts = []
-        for t in seq:
-            p = self.postings(t, positions=True)
-            if p is None:
-                return np.empty(0, dtype=np.int64)
-            posts.append(p)
-        # AND-intersect candidates first
-        cand = posts[0][0]
-        for p in posts[1:]:
-            cand = cand[np.isin(cand, p[0], assume_unique=True)]
-            if len(cand) == 0:
-                return cand
-        # adjacency cascade per candidate doc (reference IIM:1196-1260).
-        # Candidate row indices via searchsorted on the (sorted) posting
-        # doc arrays — a Python dict over a high-df term's whole list
-        # would materialize millions of ints to index a few candidates.
-        out = []
-        rows = [np.searchsorted(p[0], cand) for p in posts]
-        for ci, doc in enumerate(cand.tolist()):
-            ok_pos = np.asarray(posts[0][3][rows[0][ci]]) + 1
-            for t_i in range(1, len(posts)):
-                nxt_pos = np.asarray(posts[t_i][3][rows[t_i][ci]])
-                ok_pos = np.intersect1d(ok_pos, nxt_pos, assume_unique=True) + 1
-                if len(ok_pos) == 0:
-                    break
-            else:
-                out.append(doc)
-        return np.asarray(out, dtype=np.int64)
+        """Docs holding the analyzed token sequence at consecutive
+        positions (reference IIM:1196-1260): `search_near` with slop 0."""
+        return self.search_near(phrase, 0)
 
     def search_near(self, phrase: list[str], slop: int = 0) -> np.ndarray:
         """Ordered proximity search: docs where the analyzed token
         sequence t1..tn occurs at positions p1 < p2 < ... < pn with at
         most `slop` non-matching tokens between each ADJACENT pair
-        (p_{i+1} - p_i - 1 <= slop). `slop=0` is exactly
-        `search_phrase` (tested). Same AND-candidate prune as phrase;
-        the per-doc cascade replaces position intersection with a
-        two-searchsorted window test (any previous-term position within
-        (p - slop - 1, p))."""
+        (p_{i+1} - p_i - 1 <= slop); `slop=0` is phrase search. The
+        docs holding every term are intersected first; then, per
+        candidate doc, a two-searchsorted window test keeps each next
+        position that has a previous-term position within
+        (p - slop - 1, p)."""
         if slop < 0:
             raise ValueError("slop must be >= 0")
         if not self.positional:
-            raise NotImplementedError("proximity search requires a positional index")
+            raise NotImplementedError("phrase and proximity search require a positional index")
         per_kw = self._analyze_keywords(phrase)
         if not per_kw or any(not toks for toks in per_kw):
             return np.empty(0, dtype=np.int64)
@@ -720,8 +689,6 @@ class IndexSearcher:
           blocks_skipped       posting blocks of probed terms in which
                                no posting was scored
           candidates_admitted  docs whose score was accumulated
-          docs_rescored        docs rescored after an out-of-order sum;
-                               0, since every path sums in term order
         so `postings_scored / queries` is the serving work per query.
 
         A warm query does only query-dependent work: each term's weight

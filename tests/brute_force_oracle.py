@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..functions.analyzers import Analyzer, make_analyzer
+from mini_search_engine_ray.functions.analyzers import Analyzer, make_analyzer
 
 K1 = 1.2
 B = 0.75

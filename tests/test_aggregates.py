@@ -490,14 +490,9 @@ class TestGroupedHLL:
             "source": pa.array([f"s{k}" for k in keys]),
             "text": pa.array(docs, pa.large_string())})
 
-    def test_registers_match_global_per_key_and_estimates(self,
-                                                          ray_session):
-        import ray.data as rd
-
+    def test_registers_match_global_per_key(self, ray_session):
         from mini_search_engine_ray.stages.textstats import (
-            _split_tokens,
             distinct_count_hll,
-            hll_estimate_per_group,
             hll_registers_per_group,
         )
 
@@ -513,14 +508,6 @@ class TestGroupedHLL:
             mine = regs_pd[regs_pd["source"] == k]
             assert dict(zip(mine["bucket"], mine["rho"])) == \
                 dict(zip(solo["bucket"], solo["rho"]))
-        # per-key estimates within HLL error of the true distincts
-        est = hll_estimate_per_group(regs, key_col="source",
-                                     precision_bits=10).to_pandas()
-        for k, e in zip(est["source"], est["estimate"]):
-            sub = t.filter(pa.compute.equal(t["source"], k))
-            _, vals = _split_tokens(sub["text"].combine_chunks())
-            true = len(set(vals.to_pylist()))
-            assert abs(e - true) / true < 0.15
 
     def test_empty_and_single_key(self, ray_session):
         import ray.data as rd

@@ -154,7 +154,6 @@ def test_dense_query_scans(big_searcher):
     assert min(dfs) * 2 > max(dfs) > 128
     assert s.counters["queries"] == 1
     assert s.counters["postings_scored"] == sum(dfs)
-    assert s.counters["docs_rescored"] == 0
     assert s.counters["blocks_skipped"] == 0
 
 
@@ -364,11 +363,11 @@ def test_cached_arrays_are_read_only(big_searcher):
 
 
 def test_counters_keys(big_searcher):
-    """Every ranked query is tallied under the same five keys, scans,
+    """Every ranked query is tallied under the same four keys, scans,
     one-term queries and queries with no known term included."""
     s = IndexSearcher(big_searcher.index_dir)
     keys = {"queries", "postings_scored", "blocks_skipped",
-            "candidates_admitted", "docs_rescored"}
+            "candidates_admitted"}
     assert set(s.counters) == keys
     s.search_bm25(["search", "shard"], 10)
     assert set(s.counters) == keys
@@ -395,5 +394,4 @@ def test_rare_term_lets_common_term_skip_blocks(big_searcher):
     assert s.df("needl") == 1 and s.df("inform") > 2 * 128
     assert s.counters["blocks_skipped"] >= 1
     assert s.counters["candidates_admitted"] == 1
-    assert s.counters["docs_rescored"] == 0
     assert s.counters["postings_scored"] < s.df("inform")

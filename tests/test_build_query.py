@@ -10,7 +10,7 @@ import pytest
 
 from mini_search_engine_ray.functions.analyzers import ComposableAnalyzer
 from mini_search_engine_ray.pipelines.build import build_index, load_meta
-from mini_search_engine_ray.pipelines.oracle import BruteForceOracle
+from brute_force_oracle import BruteForceOracle
 from mini_search_engine_ray.sources.corpus import synth_corpus, write_corpus_parquet
 from mini_search_engine_ray.stages.shards import read_shard_as_dicts
 from mini_search_engine_ray.state.searcher import IndexSearcher
@@ -130,6 +130,18 @@ class TestQueriesVsOracle:
         s, o = pair
         for q in self.PHRASES:
             assert s.search_phrase(q).tolist() == o.search_phrase(q), q
+
+    def test_phrase_needs_positional_index(self, ray_session, tmp_path):
+        d = str(tmp_path / "idx")
+        build_index(
+            _tiny_ds(), d, analyzer="composable", num_buckets=4, positional=False,
+            n_docs=len(TINY_DOCS), fingerprint="tiny-nopos", write_docstore=False,
+        )
+        s = IndexSearcher(d)
+        with pytest.raises(NotImplementedError):
+            s.search_phrase(self.PHRASES[0])
+        with pytest.raises(NotImplementedError):
+            s.search_near(self.PHRASES[0], 1)
 
 
 class TestRankedSmall:

@@ -5,6 +5,7 @@ smoke entry()."""
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -19,15 +20,23 @@ SF = "/root/testdata/sf0.001"
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
-def _to_pandas(res):
+def _run(res):
+    """(pandas frame, [[field, arrow type], ...]) of one query result,
+    both taken from ONE execution (a Dataset is materialized first)."""
     import pyarrow as pa
     import ray.data
 
     if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
+        res = res.materialize()
+        s = res.schema()
+        schema = None if s is None else s.base_schema
+        df = res.to_pandas()
+    elif isinstance(res, pa.Table):
+        schema, df = res.schema, res.to_pandas()
+    else:
+        schema, df = pa.Schema.from_pandas(res, preserve_index=False), res
+    fields = None if schema is None else [[f.name, str(f.type)] for f in schema]
+    return df, fields
 
 
 def _normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -83,12 +92,20 @@ from mini_search_engine_ray.pipelines.driver_queries import ORACLE_SQL as _OSQL
 
 ORACLE_KEYS = sorted(_OSQL)
 
+# Output Arrow schema of every query, pinned: the value comparison
+# casts ints to int64 and rounds floats, so it cannot see an int32 vs
+# int64 or string vs large_string drift on its own.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "driver_schemas.json")) as _f:
+    SCHEMAS = json.load(_f)
+
 
 @pytest.mark.parametrize("name", ORACLE_KEYS)
 def test_query_matches_oracle(registry, con, name):
     q, o = registry
     assert name in q and name in o
-    got = _normalize(_to_pandas(q[name](SF)))
+    df, fields = _run(q[name](SF))
+    assert fields == SCHEMAS[name], (name, fields, SCHEMAS[name])
+    got = _normalize(df)
     exp = _normalize(con.sql(o[name]).df())
     assert list(got.columns) == list(exp.columns), (got.columns, exp.columns)
     assert len(got) == len(exp), f"{name}: {len(got)} vs {len(exp)} rows"
@@ -104,5 +121,5 @@ def test_no_rows_only_queries_left(registry):
 
 def test_row_counts_per_doc(registry):
     q, _ = registry
-    assert len(_to_pandas(q["simhash"](SF))) == 500
-    assert len(_to_pandas(q["minhash_signatures"](SF))) == 500 * 64
+    assert len(_run(q["simhash"](SF))[0]) == 500
+    assert len(_run(q["minhash_signatures"](SF))[0]) == 500 * 64

@@ -1,5 +1,5 @@
 """Tests for the training-data-pipeline extras: dedup family, ANN
-similarity, text stats / langid / fingerprints, multimodal plumbing."""
+similarity, text stats / langid / fingerprints."""
 
 from __future__ import annotations
 
@@ -9,17 +9,10 @@ import pytest
 
 from mini_search_engine_ray.stages.dedup import (
     dedup_exact,
-    estimate_jaccard,
     exact_jaccard_tokens,
-    hamming64,
     minhash_batch,
     minhash_candidate_pairs,
     simhash_batch,
-)
-from mini_search_engine_ray.stages.multimodal import (
-    MediaFeatureExtract,
-    extract_media_features,
-    synth_media_table,
 )
 from mini_search_engine_ray.stages.similarity import (
     ann_cosine_topk,
@@ -34,6 +27,17 @@ from mini_search_engine_ray.stages.textstats import (
 BASE = "the quick brown fox jumps over the lazy dog while the cat watches from a tall tree nearby"
 NEAR = BASE.replace("lazy", "sleepy")  # one token changed -> high jaccard
 FAR = "completely different content about ray data pipelines and arrow record batches"
+
+
+def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
+    """MinHash Jaccard estimate: the share of equal signature slots."""
+    return float((sig_a == sig_b).mean())
+
+
+def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row Hamming distance of two int64 SimHash fingerprint arrays."""
+    x = a.astype(np.uint64) ^ b.astype(np.uint64)
+    return np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
 
 
 def _doc_table(texts):
@@ -176,86 +180,6 @@ class TestTextStats:
         # deterministic
         out2 = fingerprint_batch(t).to_pylist()
         assert out == out2
-
-
-class TestMultimodal:
-    def test_feature_extract_pipeline(self, ray_session):
-        import ray.data as rd
-
-        media = synth_media_table(20)
-        out = extract_media_features(rd.from_arrow(media), batch_size=8).take_all()
-        assert len(out) == 20
-        assert all(len(r["feature"]) == 16 for r in out)
-        # deterministic features from payload bytes
-        fe = MediaFeatureExtract()
-        again = fe(media.slice(0, 5)).to_pylist()
-        for i in range(5):
-            np.testing.assert_allclose(out[i]["feature"], again[i]["feature"])
-
-    def test_strict_raises_without_decoder(self):
-        fe = MediaFeatureExtract(strict=True)
-        if fe._has_decoder:
-            pytest.skip("decoder present")
-        with pytest.raises(NotImplementedError):
-            fe(synth_media_table(2))
-
-    def test_resize_geometry_and_passthrough(self, ray_session):
-        import ray.data as rd
-
-        from mini_search_engine_ray.stages.multimodal import MediaResize
-
-        media = synth_media_table(30)
-        out = (
-            rd.from_arrow(media)
-            .map_batches(MediaResize, fn_constructor_kwargs={"target_w": 64, "target_h": 48},
-                         batch_format="pyarrow", batch_size=8, concurrency=2)
-            .take_all()
-        )
-        src = {r["media_id"]: r for r in media.to_pylist()}
-        for r in out:
-            o = src[r["media_id"]]
-            if r["media_type"].startswith("image/"):
-                # aspect-preserving fit into 64x48
-                assert r["width"] <= 64 and r["height"] <= 48
-                assert abs(r["width"] / r["height"] - o["width"] / o["height"]) < 0.2
-            else:  # non-image rows untouched
-                assert (r["width"], r["height"]) == (o["width"], o["height"])
-                assert r["payload"] == o["payload"]
-
-    def test_frame_sample_explode(self, ray_session):
-        import ray.data as rd
-
-        from mini_search_engine_ray.stages.multimodal import VideoFrameSample
-
-        media = synth_media_table(30)
-        n_videos = sum(1 for t in media["media_type"].to_pylist() if t.startswith("video/"))
-        out = (
-            rd.from_arrow(media)
-            .map_batches(VideoFrameSample, fn_constructor_kwargs={"n_frames": 4},
-                         batch_format="pyarrow", batch_size=8, concurrency=2)
-            .take_all()
-        )
-        assert len(out) == 4 * n_videos
-        by_id: dict[int, list] = {}
-        for r in out:
-            by_id.setdefault(r["media_id"], []).append(r)
-        durs = {r["media_id"]: r["duration_ms"] for r in media.to_pylist()}
-        for mid, frames in by_id.items():
-            frames.sort(key=lambda r: r["frame_no"])
-            assert [f["frame_no"] for f in frames] == [0, 1, 2, 3]
-            assert frames[0]["t_ms"] == 0
-            assert frames[-1]["t_ms"] == durs[mid]  # endpoint included
-
-    def test_resize_strict_raises(self):
-        from mini_search_engine_ray.stages.multimodal import MediaResize, VideoFrameSample
-
-        rs = MediaResize(strict=True)
-        if rs._has_decoder:
-            pytest.skip("decoder present")
-        with pytest.raises(NotImplementedError):
-            rs(synth_media_table(2))
-        with pytest.raises(NotImplementedError):
-            VideoFrameSample(strict=True)(synth_media_table(2))
 
 
 class TestIVF:
@@ -566,10 +490,7 @@ class TestPCA:
         np.testing.assert_allclose(got, exp, rtol=1e-9, atol=1e-12)
 
     def test_fit_transform_vs_numpy_eigh(self, ray_session):
-        from mini_search_engine_ray.stages.similarity import (
-            pca_fit,
-            pca_transform,
-        )
+        from mini_search_engine_ray.stages.similarity import pca_fit
 
         x = self._data(seed=11)
         mean, comps, ev = pca_fit(self._ds(x), k=3)
@@ -582,14 +503,9 @@ class TestPCA:
         expc[flip] *= -1
         np.testing.assert_allclose(comps, expc, rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(ev, w[order], rtol=1e-9)
+        np.testing.assert_allclose(mean, xf.mean(axis=0), rtol=1e-9, atol=1e-12)
         # explained variance ordering and dominance
         assert ev[0] > ev[1] > ev[2] > 0
-        proj = pca_transform(self._ds(x), mean, comps).to_pandas()
-        got0 = np.array([p[0] for p in proj.sort_values("vec_id")["pca"]])
-        exp0 = (xf - xf.mean(axis=0)) @ expc[0]
-        np.testing.assert_allclose(got0, exp0, rtol=1e-6, atol=1e-8)
-        # projected variance along component 0 == its eigenvalue
-        np.testing.assert_allclose(got0.var(), ev[0], rtol=1e-6)
 
     def test_block_invariance_and_validation(self, ray_session):
         from mini_search_engine_ray.stages.similarity import pca_fit
@@ -632,32 +548,6 @@ class TestPCA:
                                                         np.float32),
                                                parts=3))
         assert (n, s, xtx) == (0, None, None)
-
-
-class TestPCAWhiten:
-    def test_unit_variance_per_axis(self, ray_session):
-        from mini_search_engine_ray.stages.similarity import (
-            pca_fit,
-            pca_transform,
-        )
-
-        rng = np.random.default_rng(17)
-        x = (rng.standard_normal((3000, 6)) *
-             np.linspace(9, 1, 6)).astype(np.float32)
-        import ray.data as rd
-
-        t = pa.table({"vec_id": np.arange(3000, dtype=np.int64),
-                      "embedding": pa.array([r.tolist() for r in x],
-                                            pa.list_(pa.float32()))})
-        ds = rd.from_arrow(t).repartition(5)
-        mean, comps, ev = pca_fit(ds, k=3)
-        out = pca_transform(ds, mean, comps, explained_var=ev) \
-            .to_pandas()
-        proj = np.array([list(p) for p in out["pca"]])
-        np.testing.assert_allclose(proj.var(axis=0), np.ones(3),
-                                   rtol=1e-6)
-        with pytest.raises(ValueError, match="explained_var"):
-            pca_transform(ds, mean, comps, explained_var=ev[:1])
 
 
 class TestIncrementalDedup:

@@ -8,7 +8,7 @@ import pyarrow as pa
 import pytest
 
 from mini_search_engine_ray.pipelines.build import build_index, load_meta
-from mini_search_engine_ray.pipelines.oracle import BruteForceOracle
+from brute_force_oracle import BruteForceOracle
 from mini_search_engine_ray.sources.corpus import (
     read_corpus_with_doc_ids,
     synth_corpus,

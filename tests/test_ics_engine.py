@@ -12,7 +12,7 @@ from mini_search_engine_ray.pipelines.ics_engine import (
     read_id_graph_tsv,
     read_url_tsv,
 )
-from mini_search_engine_ray.pipelines.oracle import BruteForceOracle
+from brute_force_oracle import BruteForceOracle
 from mini_search_engine_ray.sources.corpus import synth_corpus
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pyarrow as pa
 
 from mini_search_engine_ray.pipelines.build import build_index
-from mini_search_engine_ray.pipelines.oracle import BruteForceOracle
+from brute_force_oracle import BruteForceOracle
 from mini_search_engine_ray.sources.corpus import synth_corpus
 from mini_search_engine_ray.stages.merge import compact_index, merge_indexes
 from mini_search_engine_ray.state.searcher import IndexSearcher

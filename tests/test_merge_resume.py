@@ -11,7 +11,7 @@ import pyarrow as pa
 import pytest
 
 from mini_search_engine_ray.pipelines.build import build_index
-from mini_search_engine_ray.pipelines.oracle import BruteForceOracle
+from brute_force_oracle import BruteForceOracle
 from mini_search_engine_ray.sources.corpus import synth_corpus
 from mini_search_engine_ray.stages.merge import compact_index, merge_indexes
 from mini_search_engine_ray.stages.shards import list_shards, read_shard_as_dicts, shard_paths

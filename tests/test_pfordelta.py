@@ -1,7 +1,7 @@
-"""PForDelta codec: golden bytes (hand-derived), round-trips, plugin
-surface, density vs varint. North-star names "varint/PForDelta" —
-varint is the byte-identical reference codec (C1/C2); PForDelta is the
-block codec offered through the same Compressor plugin interface."""
+"""PForDelta codec: golden bytes (hand-derived), round-trips, density
+vs varint. North-star names "varint/PForDelta" — varint is the
+byte-identical reference codec (C1/C2); PForDelta is the opt-in shard
+block codec (`pfor_encode_many` / `pfor_decode_many`)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from mini_search_engine_ray.functions.codecs import (
     PFOR_BLOCK,
-    PForDeltaCompressor,
     pfordelta_decode,
     pfordelta_encode,
     varint_encode,
@@ -68,15 +67,6 @@ class TestRoundTrip:
 
 
 class TestPlugin:
-    def test_compressor_surface(self):
-        comp = PForDeltaCompressor()
-        vals = list(np.cumsum(np.arange(1, 300)))
-        buf = comp.encode(vals)
-        assert comp.decode(buf) == vals
-        nd = PForDeltaCompressor(delta=False)
-        raw = [7, 7, 0, 2**33]
-        assert nd.decode(nd.encode(raw)) == raw
-
     def test_denser_than_varint_on_uniform_gaps(self):
         """Posting-list-gap-like data: fixed-b frames beat >=1 byte per
         value (the reason the codec exists)."""
