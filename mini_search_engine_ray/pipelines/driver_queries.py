@@ -35,7 +35,7 @@ import pyarrow as pa
 
 from ..functions.stopwords import STOP_WORDS
 from ..functions.tokenizers import PUNCT_SPLIT_RE2
-from .plan import _codes, _non_null_numpy, _r4, read_table, shape
+from .plan import _codes, _non_null_numpy, _r4, _ts_int64, read_table, shape
 
 FORMAT_VERSION = "v2"  # bump to invalidate /tmp index caches on format change
 
@@ -4864,9 +4864,7 @@ def q_weekly_cohorts(sf_dir: str):
     def weeks(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) else ts
-        wk = ts.cast(pa.int64()).to_numpy(zero_copy_only=False) // WEEK_US
+        wk = _ts_int64(t, "ts") // WEEK_US
         out = pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
                         "week": pa.array(wk)})
         return out.group_by(["user_id", "week"]).aggregate([])
@@ -7045,9 +7043,7 @@ def _linear_stats_query(key_col: str):
         ds = read_table(sf_dir, "events", columns=[key_col, "ts", "value"])
 
         def derive(t: pa.Table) -> pa.Table:
-            ts = t["ts"].combine_chunks() \
-                if isinstance(t["ts"], pa.ChunkedArray) else t["ts"]
-            us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+            us = _ts_int64(t, "ts")
             x = (us // 1_000_000) % 86_400
             return pa.table({key_col: t[key_col], "x": pa.array(x),
                              "y": t["value"]})
@@ -7565,10 +7561,7 @@ def q_top_unshipped_orders(sf_dir: str):
                                                  "l_discount", "l_shipdate"])
 
     def lfilt(t: pa.Table) -> pa.Table:
-        sd = t["l_shipdate"].combine_chunks() \
-            if isinstance(t["l_shipdate"], pa.ChunkedArray) \
-            else t["l_shipdate"]
-        us = sd.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "l_shipdate")
         keep = us > _Q3_DATE_US
         p = _non_null_numpy(t, "l_extendedprice")[keep]
         d = _non_null_numpy(t, "l_discount")[keep]
@@ -8729,9 +8722,7 @@ def q_priority_late_orders(sf_dir: str):
                                                "o_orderpriority"])
 
     def win(t: pa.Table) -> pa.Table:
-        d = t["o_orderdate"]
-        d = d.combine_chunks() if isinstance(d, pa.ChunkedArray) else d
-        us = d.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "o_orderdate")
         lo = int(np.datetime64("1995-01-01", "us").astype(np.int64))
         hi = int(np.datetime64("1995-07-01", "us").astype(np.int64))
         return t.filter(pa.array((us >= lo) & (us < hi)))
@@ -8747,14 +8738,8 @@ def q_priority_late_orders(sf_dir: str):
     def late(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ship = t["l_shipdate"]
-        ship = ship.combine_chunks() \
-            if isinstance(ship, pa.ChunkedArray) else ship
-        odate = t["o_orderdate"]
-        odate = odate.combine_chunks() \
-            if isinstance(odate, pa.ChunkedArray) else odate
-        sd = ship.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        oo = odate.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        sd = _ts_int64(t, "l_shipdate")
+        oo = _ts_int64(t, "o_orderdate")
         keep = sd > oo + 30 * 86_400_000_000   # strict, exact int µs
         f = t.filter(pa.array(keep))
         return pa.table({
@@ -8976,10 +8961,7 @@ def q_user_rfm(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return prep_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         v = _non_null_numpy(t, "value")
         return pa.table({
             "user_id": t["user_id"], "last_us": pa.array(us),
@@ -9158,10 +9140,7 @@ def q_time_to_convert(sf_dir: str):
         import pyarrow.compute as pc
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         buy = pc.equal(t["event_type"], "purchase").to_numpy(
             zero_copy_only=False)
         return pa.table({
@@ -9522,10 +9501,7 @@ def q_peak_hour_by_type(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         hour = (us // 3_600_000_000) % 24
         return pa.table({"event_type": t["event_type"],
                          "hour": pa.array(hour),
@@ -9902,10 +9878,7 @@ def q_market_share_by_year(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        od = t["o_orderdate"]
-        od = od.combine_chunks() if isinstance(od, pa.ChunkedArray) \
-            else od
-        us = od.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "o_orderdate")
         year = (us.astype("datetime64[us]")
                 .astype("datetime64[Y]").astype(np.int64) + 1970)
         price = _non_null_numpy(t, "l_extendedprice")
@@ -10168,10 +10141,7 @@ def q_weekend_value_ttest(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         dow = (us // 86_400_000_000 + 4) % 7
         wk = (dow >= 5).astype(np.int64)
         cents = np.floor(_non_null_numpy(t, "value")
@@ -10365,10 +10335,7 @@ def q_daily_value_anomaly(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         return pa.table({
             "day": pa.array(us // 86_400_000_000),
             "cents": pa.array(np.floor(
@@ -10784,10 +10751,7 @@ def q_user_stickiness(sf_dir: str):
         def prep(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
                 return part_schema.empty_table()
-            ts = t["ts"]
-            ts = ts.combine_chunks() \
-                if isinstance(ts, pa.ChunkedArray) else ts
-            us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+            us = _ts_int64(t, "ts")
             return pa.table({
                 "b": pa.array(us // div_us), "user_id": t["user_id"],
                 "one": pa.array(np.ones(t.num_rows, np.int64))})
@@ -11354,10 +11318,7 @@ def q_user_day_streaks(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         return pa.table({
             "user_id": t["user_id"],
             "day": pa.array(us // 86_400_000_000),
@@ -11441,10 +11402,7 @@ def q_orders_scd2(sf_dir: str):
             return st_schema.empty_table()
         k = t["o_orderkey"].to_numpy(zero_copy_only=False)
         p = _non_null_numpy(t, "o_totalprice")
-        od = t["o_orderdate"]
-        od = od.combine_chunks() if isinstance(od, pa.ChunkedArray) \
-            else od
-        ver = od.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        ver = _ts_int64(t, "o_orderdate")
         cents = np.floor(p * 100).astype(np.int64)
         cents_new = np.floor((p + 1000.0) * 100).astype(np.int64)
         upd = k % 10 == 0
@@ -11701,10 +11659,7 @@ def q_type_weekend_chisq(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         wk = ((us // 86_400_000_000 + 4) % 7 >= 5).astype(np.int64)
         types = np.asarray(t["event_type"].to_pylist(), dtype=object)
         rows_t, rows_g, rows_c = [], [], []
@@ -11806,10 +11761,7 @@ def q_decayed_event_counts(sf_dir: str):
     def mx_part(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return mx_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         return pa.table({"mx": pa.array([int(us.max())], pa.int64())})
 
     parts = ds.map_batches(mx_part, batch_format="pyarrow").take_all()
@@ -11824,10 +11776,7 @@ def q_decayed_event_counts(sf_dir: str):
     def age_parts(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         age = (mx - us) // 86_400_000_000
         keep = age < DECAY_WINDOW_DAYS
         if not keep.any():
@@ -12316,10 +12265,7 @@ def _weekend_cents_grouped(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         wk = ((us // 86_400_000_000 + 4) % 7 >= 5).astype(np.int64)
         cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
@@ -12693,10 +12639,7 @@ def q_daily_value_changepoint(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return d_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
         return pa.table({"day": pa.array(us // 86_400_000_000),
@@ -13095,10 +13038,7 @@ def q_daily_seasonal_naive_mae(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return d_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         return pa.table({
             "day": pa.array(us // 86_400_000_000),
             "cents": pa.array(np.floor(
@@ -13420,10 +13360,7 @@ def _daily_cents_rows(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return d_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         return pa.table({
             "day": pa.array(us // 86_400_000_000),
             "cents": pa.array(np.floor(
@@ -13560,10 +13497,7 @@ def q_dow_value_anova(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         dow = ((us // 86_400_000_000 + 4) % 7).astype(np.int64)
         cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
@@ -14660,10 +14594,7 @@ def q_weekend_value_perm_test(sf_dir: str):
             return part_schema.empty_table()
         ids = t["event_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         wk = ((us // 86_400_000_000 + 4) % 7 >= 5)
         cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
@@ -14973,10 +14904,7 @@ def q_daily_type_crosscorr(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         day = us // 86_400_000_000
         et = t["event_type"].to_numpy(zero_copy_only=False)
         cents = np.floor(_non_null_numpy(t, "value")
@@ -15100,10 +15028,7 @@ def q_value_ols_2reg(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         x1 = (us // 3_600_000_000) % 24
         x2 = ((us // 86_400_000_000 + 4) % 7 >= 5).astype(np.int64)
         y = np.floor(_non_null_numpy(t, "value")
@@ -15384,10 +15309,7 @@ def q_daily_acf(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         day = us // 86_400_000_000
         cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
@@ -16282,10 +16204,7 @@ def q_daily_holt_linear(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        ts = t["ts"]
-        ts = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) \
-            else ts
-        us = ts.cast(pa.int64()).to_numpy(zero_copy_only=False)
+        us = _ts_int64(t, "ts")
         day = us // 86_400_000_000
         cents = np.floor(_non_null_numpy(t, "value")
                          * 100).astype(np.int64)
@@ -16699,13 +16618,6 @@ def _li_ints(t: pa.Table):
     return q, pc_, dp, tp
 
 
-def _ship_us(t: pa.Table) -> np.ndarray:
-    sd = t["l_shipdate"]
-    if isinstance(sd, pa.ChunkedArray):
-        sd = sd.combine_chunks()
-    return sd.cast(pa.int64()).to_numpy(zero_copy_only=False)
-
-
 def q_pricing_summary(sf_dir: str):
     """TPC-H Q1 proper — the pricing summary report per
     (l_returnflag, l_linestatus) over lineitem shipped on or before
@@ -16727,7 +16639,7 @@ def q_pricing_summary(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        keep = _ship_us(t) <= Q1_CUTOFF_US
+        keep = _ts_int64(t, "l_shipdate") <= Q1_CUTOFF_US
         if not keep.any():
             return part_schema.empty_table()
         t = t.filter(pa.array(keep))
@@ -16836,7 +16748,7 @@ def q_revenue_band_q6(sf_dir: str):
     def partials(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return part_schema.empty_table()
-        us = _ship_us(t)
+        us = _ts_int64(t, "l_shipdate")
         q, pc_, dp, _tp = _li_ints(t)
         keep = ((us >= Q6_LO_US) & (us < Q6_HI_US)
                 & (dp >= 5) & (dp <= 7) & (q < 24))
@@ -16892,13 +16804,6 @@ Q15_HI_US = 954_547_200_000_000   # 2000-04-01T00:00:00Z
 Q22_RECENT_US = 978_307_200_000_000  # 2001-01-01T00:00:00Z
 
 
-def _ts_us_col(t: pa.Table, col: str) -> np.ndarray:
-    c = t[col]
-    if isinstance(c, pa.ChunkedArray):
-        c = c.combine_chunks()
-    return c.cast(pa.int64()).to_numpy(zero_copy_only=False)
-
-
 _REV_MICROS_SQL = ("floor(l_extendedprice*100 + 0.5)::BIGINT"
                    " * (100 - floor(l_discount*100 + 0.5)::BIGINT)")
 
@@ -16944,7 +16849,7 @@ def q_returned_item_revenue(sf_dir: str):
     def prep_orders(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return ord_schema.empty_table()
-        us = _ts_us_col(t, "o_orderdate")
+        us = _ts_int64(t, "o_orderdate")
         keep = (us >= Q10_LO_US) & (us < Q10_HI_US)
         if not keep.any():
             return ord_schema.empty_table()
@@ -17058,7 +16963,7 @@ def q_top_supplier_revenue(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return li_schema.empty_table()
-        us = _ts_us_col(t, "l_shipdate")
+        us = _ts_int64(t, "l_shipdate")
         keep = (us >= Q15_LO_US) & (us < Q15_HI_US)
         if not keep.any():
             return li_schema.empty_table()
@@ -17214,7 +17119,7 @@ def q_cust_sales_opportunity(sf_dir: str):
     def recent(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return ro_schema.empty_table()
-        us = _ts_us_col(t, "o_orderdate")
+        us = _ts_int64(t, "o_orderdate")
         keep = us >= Q22_RECENT_US
         if not keep.any():
             return ro_schema.empty_table()
@@ -17317,7 +17222,7 @@ def q_nation_volume_shipping(sf_dir: str):
     def prep_li(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return li_schema.empty_table()
-        us = _ts_us_col(t, "l_shipdate")
+        us = _ts_int64(t, "l_shipdate")
         year = (us.astype("datetime64[us]")
                 .astype("datetime64[Y]").astype(np.int64) + 1970)
         p = _non_null_numpy(t, "l_extendedprice")
@@ -17444,7 +17349,7 @@ def q_promo_revenue_share(sf_dir: str):
     def prep_li(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return li_schema.empty_table()
-        us = _ts_us_col(t, "l_shipdate")
+        us = _ts_int64(t, "l_shipdate")
         keep = (us >= Q14_LO_US) & (us < Q14_HI_US)
         if not keep.any():
             return li_schema.empty_table()

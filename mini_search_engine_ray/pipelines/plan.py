@@ -9,9 +9,10 @@
   zero-row block or one that lacks a source column, else each field
   taken by name, rounded half-up to 4 decimals if named in `r4`, and
   cast to its declared type.
-- `_r4` is the common rounding formula; `_non_null_numpy` (a column)
-  and `_codes` (a dictionary-encoded column) are the null check in
-  front of every column -> exact int64 conversion.
+- `_r4` is the common rounding formula; `_non_null_numpy` (a column),
+  `_ts_int64` (a timestamp column) and `_codes` (a dictionary-encoded
+  column) are the null check in front of every column -> exact int64
+  conversion.
 """
 
 from __future__ import annotations
@@ -36,13 +37,23 @@ def _r4(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) * 1e4 + 0.5) / 1e4
 
 
-def _non_null_numpy(t: pa.Table, name: str) -> np.ndarray:
-    """Column `name` as numpy; raises on nulls, which would become NaN
-    and then an undefined int64 in the exact-integer encodings."""
+def _non_null(t: pa.Table, name: str):
     if t[name].null_count:
         raise ValueError(f"column {name!r} has {t[name].null_count} null(s); "
                          "exact-integer encodings need non-null values")
-    return t[name].to_numpy(zero_copy_only=False)
+    return t[name]
+
+
+def _non_null_numpy(t: pa.Table, name: str) -> np.ndarray:
+    """Column `name` as numpy; raises on nulls, which would become NaN
+    and then an undefined int64 in the exact-integer encodings."""
+    return _non_null(t, name).to_numpy(zero_copy_only=False)
+
+
+def _ts_int64(t: pa.Table, name: str) -> np.ndarray:
+    """Timestamp column `name` as int64 numpy in its own unit (µs for
+    `timestamp[us]`); raises on nulls like `_non_null_numpy`."""
+    return _non_null(t, name).cast(pa.int64()).to_numpy(zero_copy_only=False)
 
 
 def _codes(d: pa.DictionaryArray) -> np.ndarray:

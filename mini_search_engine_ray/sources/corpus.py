@@ -202,7 +202,10 @@ def read_corpus_with_doc_ids(paths: str | list[str], *, columns: list[str] | Non
 
     One Ray task per row group (a metadata-only planning pass on the
     driver), each emitting its rows with doc_id = offset + local index.
-    Deterministic at any parallelism; streams; no shuffle.
+    Deterministic at any parallelism; streams; no shuffle. The read
+    never fuses with the caller's next map: fused, a `map_batches(
+    batch_size=B)` would bundle B row-group descriptors into one task
+    and read them all there, one after another.
     """
     import ray.data as rd
 
@@ -226,8 +229,10 @@ def read_corpus_with_doc_ids(paths: str | list[str], *, columns: list[str] | Non
             out.append(t.add_column(0, "doc_id", ids))
         return pa.concat_tables(out)
 
+    # Ray Data fuses no operator that has a `ray_remote_args_fn`; this
+    # one adds no remote argument
     return rd.from_items(tasks, override_num_blocks=max(1, len(tasks))).map_batches(
-        read_one, batch_size=1, batch_format="pyarrow"
+        read_one, batch_size=1, batch_format="pyarrow", ray_remote_args_fn=dict
     )
 
 

@@ -20,10 +20,10 @@ Query surface (parity with `InvertedIndexManager`):
                    (IIM:1292-1449); ties broken by doc_id
   search_bm25      BM25 (k1=1.2, b=0.75) top-k — the north-rule
                    primary scoring, through one ranked path: an
-                   exhaustive bincount scan, except that a query whose
-                   rare term cuts off its dense terms probes them by
-                   binary search instead; bitwise equal to the scan
-                   (`prune=False`, tested)
+                   exhaustive term-at-a-time scan, except that a query
+                   whose rare term cuts off its dense terms probes them
+                   by binary search instead; bitwise equal to the scan
+                   (`prune=False`, tested against a bincount)
   delete_documents keyword tombstones filtered at query time
                    (IIM:1548-1551, 861-869); dropped at compaction
 
@@ -31,15 +31,16 @@ Per-term state is decoded once per searcher and cached beside the
 postings (both caches hold up to POSTINGS_CACHE_MAX entries): the
 decoded posting arrays, and for BM25 a `_TermState` with the term's
 weight bound from its block-max metadata and the BM25 weight of every
-posting at the last query scale (qw, idf) it served. Both depend on
-avgdl, which multi-part serving overrides after construction, so a
-state is keyed by the avgdl it was built with and rebuilt when that
-differs. Cached arrays are read-only, as every later query shares
-them. A warm BM25 query whose scale repeats (qw is almost always 1,
-idf is fixed per index or per global df) thus only decides scan or
-probe from df and the bounds, gathers and sums cached weights per doc
-and selects its top-k, and `_topk` sorts only the docs at or above
-the kth score.
+posting at the last query scale (qw, idf) it served (for a term dense
+in its doc-id span, also that span's hit mask and weight vector). All
+depend on avgdl, which multi-part serving overrides after
+construction, so a state is keyed by the avgdl it was built with and
+rebuilt when that differs. Cached arrays are read-only, as every later
+query shares them. A warm BM25 query whose scale repeats (qw is almost
+always 1, idf is fixed per index or per global df) thus only decides
+scan or probe from df and the bounds, adds or scatters cached weights
+per doc and selects its top-k, and `_topk` sorts only the docs at or
+above the kth score.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def save_tombstones(index_dir: str, terms: set[str]) -> None:
 POSTINGS_CACHE_MAX = 100_000
 
 COUNTER_KEYS = ("queries", "postings_scored", "blocks_skipped",
-                "candidates_admitted")
+                "candidates_admitted", "span_terms")
 
 
 def _bm25_den(tf, dl, avgdl: float):
@@ -195,15 +196,16 @@ class _TermState:
     `tf*(K1+1)/den` over the block-max metadata (over the postings
     themselves when there is none), so that `qw*idf*ub_unit` bounds
     every weight of the term, and `scaled`, the last query scale
-    `(qw, idf)` served with the weight of every posting at it. All
+    `(qw, idf)` served with the weight of every posting at it (and
+    `mask`, `spanned` of a term the scan adds as a `span`). All
     depend on `avgdl`, kept here so the searcher can rebuild the state
     when its avgdl is overridden."""
 
-    __slots__ = ("avgdl", "blocks", "ub_unit", "scaled")
+    __slots__ = ("avgdl", "blocks", "ub_unit", "scaled", "mask", "spanned")
 
     def __init__(self, p, block_meta, avgdl: float) -> None:
-        self.avgdl = avgdl
-        self.scaled = None, None
+        self.avgdl, self.mask = avgdl, None  # mask: built with the first span
+        self.scaled = self.spanned = None, None
         if block_meta is None:
             self.blocks = 0
             tf, den = p[1], _bm25_den(p[1], p[2], avgdl)
@@ -224,6 +226,20 @@ class _TermState:
             w = _frozen(_bm25_weight(p[1], _bm25_den(p[1], p[2], self.avgdl), idf, qw))
             self.scaled = (qw, idf), w
         return w
+
+    def span(self, p, qw: float, idf: float):
+        """Read-only (mask, vector) over the term's doc-id span: True and
+        its weight at scale (qw, idf) at its docs, False and 0.0
+        elsewhere; the vector is swapped with its scale, as `scaled`."""
+        scale, vec = self.spanned
+        if scale != (qw, idf):
+            i = p[0] - p[0][0]
+            vec = np.zeros(int(i[-1]) + 1)
+            vec[i] = self.weights(p, qw, idf)
+            if self.mask is None:
+                self.mask = _frozen(np.bincount(i) > 0)
+            self.spanned = (qw, idf), _frozen(vec)
+        return self.mask, vec
 
 
 class _TermDict:
@@ -689,14 +705,15 @@ class IndexSearcher:
           blocks_skipped       posting blocks of probed terms in which
                                no posting was scored
           candidates_admitted  docs whose score was accumulated
+          span_terms           terms a scan added as span vectors
         so `postings_scored / queries` is the serving work per query.
 
         A warm query does only query-dependent work: each term's weight
         bound is computed once per searcher and its posting weights once
         per query scale (qw, idf) (`_TermState`, cached beside the
-        postings under the same entry cap, keeping the weights of the
-        last scale served), and both are rebuilt when `self.avgdl`
-        changes."""
+        postings under the same entry cap, keeping the weights or span
+        vector of the last scale served), and both are rebuilt when
+        `self.avgdl` changes."""
         toks = query_tokens(self.analyzer, query)
         tw = bm25_query_weights(toks, {t: self.df(t) for t in set(toks)}, self.n_docs)
         return self.search_bm25_weighted(tw, k, prune=prune)
@@ -719,11 +736,11 @@ class IndexSearcher:
         term state, with every result bitwise equal to the scan:
           no term          empty result
           scan             k None or <= 0, or `prune=False`: every
-                           posting weighted and summed per doc in one
-                           bincount, in the given term order — per-doc
-                           scores are bitwise those of a single-index
-                           search with the same triples (each doc lives
-                           in exactly one partition)
+                           posting weighted and summed per doc, term at
+                           a time in the given order — per-doc scores
+                           are bitwise those of a single-index search
+                           with the same triples (each doc lives in
+                           exactly one partition)
           one term         top-k straight from its weights
                            (`_bm25_probe` with no other term)
           several terms    a probe when one rare term's kth weight cuts
@@ -752,6 +769,8 @@ class IndexSearcher:
     # below this accumulator size a dense per-doc array (bincount, no
     # sort) beats unique-sort merging; larger spans use the sparse path
     DENSE_ACCUM_MAX_DOCS = 10_000_000
+    # a scan adds a term holding >= 1/SPAN_FILL of its span's ids whole
+    SPAN_FILL = 4
 
     @staticmethod
     def _theta_slack(theta: float) -> float:
@@ -789,9 +808,30 @@ class IndexSearcher:
         return uniq, np.bincount(inv, weights=contribs)
 
     def _bm25_scan(self, terms, k):
-        docs = np.concatenate([p[0] for _, _, p, _ in terms])
-        uniq, scores = self._accumulate(docs, np.concatenate([_term_weights(t) for t in terms]))
-        self.counters["postings_scored"] += len(docs)
+        """Sum weights per doc, term at a time, over the query's doc-id
+        span: a term dense in its own span adds its `span` as slices,
+        any other scatters its weights. Adding 0.0 to a sum begun at
+        +0.0 changes nothing, so each score is bitwise `_accumulate`'s
+        bincount, which still serves spans above DENSE_ACCUM_MAX_DOCS."""
+        docs = [p[0] for _, _, p, _ in terms]
+        self.counters["postings_scored"] += sum(map(len, docs))
+        lo = min(int(d[0]) for d in docs)
+        n = max(int(d[-1]) for d in docs) - lo + 1
+        if n > self.DENSE_ACCUM_MAX_DOCS:
+            uniq, scores = self._accumulate(
+                np.concatenate(docs), np.concatenate([_term_weights(t) for t in terms]))
+        else:
+            acc, hit = np.zeros(n), np.zeros(n, dtype=bool)
+            for (qw, idf, p, st), d in zip(terms, docs):
+                if self.SPAN_FILL * len(d) >= d[-1] - d[0] + 1:
+                    (m, w), i = st.span(p, qw, idf), slice(int(d[0]) - lo, int(d[-1]) - lo + 1)
+                    self.counters["span_terms"] += 1
+                else:  # doc ids are unique within a term
+                    m, w, i = True, st.weights(p, qw, idf), d - lo
+                acc[i] += w
+                hit[i] |= m
+            idx = np.flatnonzero(hit)
+            uniq, scores = idx + lo, acc[idx]
         self.counters["candidates_admitted"] += len(uniq)
         return _topk(uniq, scores, k)
 

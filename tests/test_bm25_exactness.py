@@ -10,24 +10,33 @@ order whether it scans or probes, so it stays bitwise identical to
 `prune=False`. The 200-doc fixtures in test_build_query.py can't catch
 this; 3000 docs with a repetitive vocabulary can.
 
+The scan itself is pinned to an independent oracle: each posting's
+weight from the formula, summed per doc by one `np.bincount` over the
+term-major concatenation, on the plain and salted indexes, a part of a
+multi-part index with offset doc ids and an index whose ids spread over
+the 10^12 range (the sparse accumulator).
+
 Also pinned here: the choice between scan and probe (a dense query
 scans, a rare term lets a common one be probed, a near-tie at the
 cutoff stays exact, the df-only scan rule changes no choice), k at
 every edge, the partition-based `_topk` against a full lexsort, the
-per-term BM25 weight cache under a change of query scale and an avgdl
-override, read-only cached arrays, and the work counters every ranked
+per-term BM25 weight and span-vector cache under a change of query
+scale and an avgdl override, read-only cached arrays, and the work counters every ranked
 query tallies.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from mini_search_engine_ray.pipelines.build import build_index
 from mini_search_engine_ray.sources.corpus import synth_corpus
 from mini_search_engine_ray.stages.shards import list_shards, open_shard
+from mini_search_engine_ray.state.distributed import PartsSearcher, build_partitioned_index
 from mini_search_engine_ray.state.searcher import (
+    COUNTER_KEYS,
     IndexSearcher,
     _bm25_den,
     _bm25_weight,
@@ -61,6 +70,36 @@ def salted_searcher(ray_session, tmp_path_factory):
     """The same corpus with every term's postings split over 3 salted
     sub-shards: merged postings carry no block-max metadata."""
     return IndexSearcher(_build_3000(tmp_path_factory, "bm25x_salted", salt=3))
+
+
+@pytest.fixture(scope="module")
+def offset_part(ray_session, tmp_path_factory):
+    """Part 1 of a two-part index over 1,200 docs whose ids start at
+    10^12, with the global stats its multi-part searcher gives it: its
+    doc ids are odd and far from 0, so a scan spans only its own range."""
+    import ray.data as rd
+
+    root = str(tmp_path_factory.mktemp("bm25x_parts") / "idx")
+    corpus = synth_corpus(1200, seed=7).select(["doc_id", "content"])
+    corpus = corpus.set_column(0, "doc_id", pa.array(np.arange(1200, dtype=np.int64) + 10**12))
+    build_partitioned_index(rd.from_arrow(corpus), root, n_partitions=2, num_buckets=2,
+                            fingerprint="bm25x_parts")
+    return PartsSearcher(root).parts[1].s
+
+
+@pytest.fixture(scope="module")
+def spread_searcher(ray_session, tmp_path_factory):
+    """600 docs with ids 0, 1.7e9, 3.4e9, ... up to 10^12: every query
+    spans more than DENSE_ACCUM_MAX_DOCS ids, so the scan sums through
+    `_accumulate`'s sparse path."""
+    import ray.data as rd
+
+    d = str(tmp_path_factory.mktemp("bm25x_spread") / "idx")
+    corpus = synth_corpus(600, seed=9).select(["doc_id", "content"])
+    corpus = corpus.set_column(0, "doc_id", pa.array(np.arange(600, dtype=np.int64) * 1_700_000_000))
+    build_index(rd.from_arrow(corpus), d, num_buckets=2, n_docs=600, write_docstore=False,
+                fingerprint="bm25x_spread")
+    return IndexSearcher(d)
 
 
 def _stem(s, word: str) -> str:
@@ -155,6 +194,86 @@ def test_dense_query_scans(big_searcher):
     assert s.counters["queries"] == 1
     assert s.counters["postings_scored"] == sum(dfs)
     assert s.counters["blocks_skipped"] == 0
+
+
+def _bincount_oracle(s, tw):
+    """Every doc a (term, qw, idf) triple holds, score desc then doc_id
+    asc, with no code of the scan: each posting's weight from the BM25
+    formula, summed per doc by one `np.bincount` over the term-major
+    concatenation (over `np.unique` codes, so 10^12-range ids allocate
+    nothing; per-doc addition order is that of a bincount over ids)."""
+    docs, ws = [], []
+    for t, qw, idf in tw:
+        p = s.postings(t)
+        if p is not None:
+            docs.append(p[0])
+            ws.append(_bm25_weight(p[1], _bm25_den(p[1], p[2], s.avgdl), idf, qw))
+    if not docs:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    uniq, inv = np.unique(np.concatenate(docs), return_inverse=True)
+    return _full_topk(uniq, np.bincount(inv, weights=np.concatenate(ws)), None)
+
+
+@pytest.mark.parametrize("which", ["big_searcher", "salted_searcher", "offset_part",
+                                   "spread_searcher"])
+def test_scan_bitwise_equals_bincount_oracle(which, request):
+    """`prune=False` runs the scan itself, so it is pinned here to
+    `_bincount_oracle`: 150 seeded queries of one to five terms, most
+    of them among the 40 commonest (so that docs hold three or more
+    query terms and the order of their sums shows), query weights 0,
+    1, 2 and 0.37, local idf and an external one, at k None, 1 and 10. The counters tally every posting
+    and every doc hit. The plain and salted indexes and the offset part
+    add dense terms as span vectors and never call `_accumulate`; on the
+    spread index most queries span over 10^7 ids and sum through its
+    sparse path."""
+    s = request.getfixturevalue(which)
+    sparse = []
+    s._accumulate = lambda *a: sparse.append(1) or IndexSearcher._accumulate(s, *a)
+    by_df = _terms_by_df(s)
+    terms = sorted(by_df)
+    common = sorted(terms, key=lambda t: (-by_df[t], t))[:40]
+    rng = np.random.default_rng(47)
+    spans = 0
+    for i in range(150):
+        n = int(rng.integers(1, 6))
+        picked = dict.fromkeys(str(rng.choice(common if rng.random() < 0.7 else terms))
+                               for _ in range(n))
+        scale = 1.0 if i % 2 else 3.0
+        tw = [(t, float(rng.choice([0.0, 1.0, 2.0, 0.37])),
+               bm25_idf(int(by_df[t] * scale), int(s.n_docs * scale))) for t in picked]
+        want = _bincount_oracle(s, tw)
+        before = dict(s.counters)
+        _assert_same(s.search_bm25_weighted(tw, None, prune=False), want, tw)
+        assert s.counters["postings_scored"] - before["postings_scored"] == sum(
+            by_df[t] for t in picked)
+        assert s.counters["candidates_admitted"] - before["candidates_admitted"] == len(want[0])
+        spans += s.counters["span_terms"] - before["span_terms"]
+        for k in (1, 10):
+            _assert_same(s.search_bm25_weighted(tw, k, prune=False),
+                         (want[0][:k], want[1][:k]), (tw, k))
+    del s._accumulate
+    if which == "spread_searcher":
+        assert len(sparse) > 200
+    else:
+        assert spans > 50 and not sparse
+
+
+def test_zero_weight_term_keeps_its_docs(big_searcher, offset_part, spread_searcher):
+    """External triples may carry qw = 0: a doc hit only by that term
+    is still a candidate, with score exactly 0.0, on the span path and
+    on the sparse path alike."""
+    for s in (big_searcher, offset_part, spread_searcher):
+        by_df = _terms_by_df(s)
+        common = max(by_df, key=lambda t: (by_df[t], t))
+        for rare in sorted(by_df, key=lambda t: (by_df[t], t)):
+            only = np.setdiff1d(s.postings(rare)[0], s.postings(common)[0])
+            if len(only):
+                break
+        tw = [(common, 1.0, 2.0), (rare, 0.0, 5.0)]
+        ids, scores = s.search_bm25_weighted(tw, None, prune=False)
+        _assert_same((ids, scores), _bincount_oracle(s, tw), s.index_dir)
+        got = dict(zip(ids.tolist(), scores.tolist()))
+        assert all(got[d] == 0.0 for d in only.tolist())
 
 
 def _terms_by_df(s) -> dict[str, int]:
@@ -286,8 +405,8 @@ def test_topk_matches_full_lexsort(seed):
 def test_avgdl_override_rebuilds_term_state(big_searcher):
     """A searcher that served queries before its stats were overridden
     (as `PartitionSearcher.__init__` does) must rebuild the cached BM25
-    denominators and bounds: it answers bitwise as one overridden up
-    front."""
+    weights, bounds and span vectors: it answers bitwise as one
+    overridden up front, and holds the same span vectors."""
     d = big_searcher.index_dir
     rng = np.random.default_rng(37)
     queries = [list(rng.choice(VOCAB, size=int(rng.integers(1, 5)), replace=False))
@@ -295,6 +414,9 @@ def test_avgdl_override_rebuilds_term_state(big_searcher):
     served = IndexSearcher(d)
     for q in queries:
         served.search_bm25(q, 10)
+        served.search_bm25(q, 10, prune=False)
+    before = {t: st.spanned[1] for t, st in served._bm25_states.items() if st.mask is not None}
+    assert before
     fresh = IndexSearcher(d)
     for s in (served, fresh):
         s.n_docs = 5 * s.n_docs
@@ -302,6 +424,9 @@ def test_avgdl_override_rebuilds_term_state(big_searcher):
     for q in queries:
         for kw in ({}, {"prune": False}):
             _assert_same(served.search_bm25(q, 10, **kw), fresh.search_bm25(q, 10, **kw), (q, kw))
+    for t, vec in before.items():
+        now = served._bm25_states[t].spanned[1]
+        assert now.tobytes() == fresh._bm25_states[t].spanned[1].tobytes() != vec.tobytes(), t
 
 
 def _assert_same_as_fresh(served, method: str, q):
@@ -314,15 +439,21 @@ def _assert_same_as_fresh(served, method: str, q):
 
 
 def test_weight_cache_follows_query_weight(big_searcher):
-    """A term's cached weights are those of the last (qw, idf) it
-    served: a repeated token (qw 2) recomputes them and a later qw 1
-    query recomputes them back, each answer bitwise a fresh one's."""
+    """A term's cached weights and span vector are those of the last
+    (qw, idf) it served: a repeated token (qw 2) recomputes them and a
+    later qw 1 query recomputes them back, each answer bitwise a fresh
+    one's; the span mask does not depend on the scale."""
     s = IndexSearcher(big_searcher.index_dir)
     t = _stem(s, "information")
+    masks = set()
     for q, qw in ((["information"], 1), (["information", "information", "index"], 2),
                   (["information"], 1), (["information", "index"], 1)):
         _assert_same_as_fresh(s, "search_bm25", q)
-        assert s._bm25_states[t].scaled[0][0] == qw
+        st = s._bm25_states[t]
+        assert st.scaled[0][0] == st.spanned[0][0] == qw
+        assert st.spanned[1][s.postings(t)[0]].tobytes() == st.scaled[1].tobytes()
+        masks.add(id(st.mask))
+    assert len(masks) == 1
 
 
 def test_weight_cache_follows_external_idf(big_searcher):
@@ -343,15 +474,17 @@ def test_weight_cache_follows_external_idf(big_searcher):
 
 
 def test_cached_arrays_are_read_only(big_searcher):
-    """Cached postings and weights are shared by every later query: an
-    in-place write raises, and the next query still answers as a fresh
-    searcher's."""
+    """Cached postings, weights, span vectors and span masks are shared
+    by every later query: an in-place write raises, and the next query
+    still answers as a fresh searcher's."""
     s = IndexSearcher(big_searcher.index_dir)
     q = ["needle", "information"]
     s.search_bm25(q, 10)
+    s.search_bm25(q, 10, prune=False)
     t = _stem(s, "information")
     p = s.postings(t)
-    arrays = [*p[:3], s._bm25_states[t].scaled[1]]
+    st = s._bm25_states[t]
+    arrays = [*p[:3], st.scaled[1], st.spanned[1], st.mask]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 7
@@ -367,17 +500,20 @@ def test_counters_keys(big_searcher):
     one-term queries and queries with no known term included."""
     s = IndexSearcher(big_searcher.index_dir)
     keys = {"queries", "postings_scored", "blocks_skipped",
-            "candidates_admitted"}
+            "candidates_admitted", "span_terms"}
+    assert set(COUNTER_KEYS) == keys
     assert set(s.counters) == keys
     s.search_bm25(["search", "shard"], 10)
     assert set(s.counters) == keys
     assert s.counters["queries"] == 1
     assert s.counters["postings_scored"] > 0
+    assert s.counters["span_terms"] == 2  # two dense terms: it scans
     s.search_bm25(["search", "shard"], 10, prune=False)
     s.search_bm25(["search"], None)
     s.search_bm25(["qwertyuiop"], 10)
     assert set(s.counters) == keys
     assert s.counters["queries"] == 4
+    assert s.counters["span_terms"] == 5
 
 
 def test_rare_term_lets_common_term_skip_blocks(big_searcher):

@@ -1,6 +1,6 @@
 """The registry's shared plan steps (pipelines/plan.py): the one table
 read, the result-shaping map and the null check in front of every
-exact-integer conversion."""
+exact-integer conversion, timestamps included."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from mini_search_engine_ray.pipelines import driver_queries as dq
-from mini_search_engine_ray.pipelines.plan import _codes, _non_null_numpy, _r4, shape
+from mini_search_engine_ray.pipelines.plan import _codes, _non_null_numpy, _r4, _ts_int64, shape
 
 SF = "/root/testdata/sf0.001"
 OUT = pa.schema({"doc_id": pa.int64(), "rnk": pa.int64(), "score": pa.float64(),
@@ -64,6 +64,36 @@ def test_non_null_numpy_raises_on_null():
         _non_null_numpy(t, "l_extendedprice")
     assert np.array_equal(_non_null_numpy(t, "l_quantity"),
                           t["l_quantity"].to_numpy())
+
+
+def _lineitem_with_null_shipdate():
+    t = pq.read_table(os.path.join(SF, "lineitem.parquet"))
+    ship = t["l_shipdate"].to_pylist()
+    ship[1] = None
+    return t.set_column(t.schema.get_field_index("l_shipdate"),
+                        "l_shipdate", pa.array(ship, t.schema.field("l_shipdate").type))
+
+
+def test_ts_int64_raises_on_null_timestamp():
+    """A null timestamp raises instead of becoming NaN and then
+    -2**63 in the day arithmetic; a non-null one is its epoch count."""
+    t = _lineitem_with_null_shipdate()
+    with pytest.raises(ValueError, match="column 'l_shipdate' has 1 null"):
+        _ts_int64(t, "l_shipdate")
+    ok = pq.read_table(os.path.join(SF, "lineitem.parquet"))
+    assert ok["l_shipdate"].type == pa.timestamp("us")
+    us = _ts_int64(ok, "l_shipdate")
+    assert us.dtype == np.int64
+    assert us.tolist() == ok["l_shipdate"].to_numpy().astype("datetime64[us]").astype(np.int64).tolist()
+
+
+def test_query_prep_rejects_null_shipdate(ray_session, tmp_path):
+    """`pricing_summary` (TPC-H Q1) fails on a null `l_shipdate` in its
+    own per-batch filter instead of comparing an undefined int64 with
+    its cutoff."""
+    pq.write_table(_lineitem_with_null_shipdate(), tmp_path / "lineitem.parquet")
+    with pytest.raises(Exception, match="ValueError: column 'l_shipdate' has 1 null"):
+        dq.q_pricing_summary(str(tmp_path))
 
 
 def test_codes_raises_on_null_key():

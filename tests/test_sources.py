@@ -37,6 +37,25 @@ def test_doc_ids_deterministic_any_parallelism(ray_session, corpus_file):
     assert all(by_id1[i] == paths[i] for i in range(300))
 
 
+def test_row_groups_read_in_separate_tasks(ray_session, tmp_path):
+    """The build tokenizes the reader's output in `map_batches(
+    batch_size=1024)`. Four row groups of 600 rows then make at least
+    two such tasks; were the read fused into that map, it would bundle
+    1,024 row-group descriptors, so all four into one task."""
+    import pyarrow as pa
+    import ray
+
+    def _task_ids(t):
+        return pa.table({"task": [ray.get_runtime_context().get_task_id()] * t.num_rows})
+
+    p = str(tmp_path / "c.parquet")
+    write_corpus_parquet(synth_corpus(2400, seed=3).select(["content"]), p, rows_per_group=600)
+    rows = read_corpus_with_doc_ids(p).map_batches(
+        _task_ids, batch_format="pyarrow", batch_size=1024).take_all()
+    assert len(rows) == 2400
+    assert len({r["task"] for r in rows}) >= 2
+
+
 def test_synth_corpus_deterministic_and_edge_cases(ray_session):
     a = synth_corpus(50, seed=42)
     b = synth_corpus(50, seed=42)
