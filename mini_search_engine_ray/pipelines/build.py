@@ -245,7 +245,7 @@ def write_exchange(
     # docstore: a committed exchange without it can't serve a run that
     # needs one and vice versa (shard manifests keep the build
     # fingerprint — shard bytes never depend on docstore settings)
-    marker_fp = f"{fingerprint}:docstore={'single_pass' if write_docstore else 'none'}"
+    marker_fp = _exchange_fp(fingerprint, write_docstore)
     # the docstore needs the full row; the tokenizer only (doc_id, content)
     projected = corpus_ds if write_docstore else corpus_ds.select_columns(["doc_id", "content"])
     exploded = projected.map_batches(
@@ -286,6 +286,11 @@ def write_exchange(
         os.replace(marker + ".tmp", marker)
     if timings is not None:
         timings["phase_a_tokenize_exchange"] = time.time() - t0
+
+
+def _exchange_fp(fingerprint: str, write_docstore: bool) -> str:
+    """The fingerprint `write_exchange` commits its exchange under."""
+    return f"{fingerprint}:docstore={'single_pass' if write_docstore else 'none'}"
 
 
 def _build_shards(
@@ -412,8 +417,12 @@ def add_documents(
     by fingerprint, so re-running the same call after a crash completes
     the same update without redoing finished work.  The in-place swap
     is two directory renames at the very end (live -> ``.old``,
-    merged -> live); a crash between them leaves ``.old`` intact for
-    manual recovery.  Returns the merged meta dict, whose
+    merged -> live); a re-run that finds live missing, ``.old``
+    present and ``.merged`` committed by this same update (its
+    ``merged_from`` names this index and work dir, and the delta's
+    exchange holds this call's fingerprint) finishes the swap without
+    reading the new documents; any other state of that window raises
+    ValueError.  Returns the merged meta dict, whose
     ``phase_a_tokenize_exchange_sec`` / ``merge_sec`` / ``docstore_sec``
     time the three stages and whose ``merge_terms_copied`` /
     ``merge_terms_appended`` / ``merge_terms_rebuilt`` /
@@ -421,16 +430,24 @@ def add_documents(
     """
     from ..stages.merge import merge_indexes
 
-    meta = load_meta(index_dir)
     delta_dir = work_dir or index_dir + ".delta"
     merged_dir = dest or index_dir + ".merged"
-    has_docstore = os.path.isdir(os.path.join(index_dir, "docstore"))
+    old = index_dir + ".old"
+    # live is missing only between the swap's two renames
+    swapping = dest is None and not os.path.exists(index_dir) and os.path.isdir(old)
+    live = old if swapping else index_dir
+    meta = load_meta(live)
+    has_docstore = os.path.isdir(os.path.join(live, "docstore"))
     n_docs = new_docs_ds.count() if n_new_docs is None else n_new_docs
+    delta_fp = f"delta:{fingerprint}:{meta['fingerprint']}:{n_docs}"
+    if swapping:
+        return _finish_swap(index_dir, merged_dir, delta_dir,
+                            _exchange_fp(delta_fp, has_docstore))
     timings: dict[str, float] = {}
     write_exchange(
         new_docs_ds,
         delta_dir,
-        fingerprint=f"delta:{fingerprint}:{meta['fingerprint']}:{n_docs}",
+        fingerprint=delta_fp,
         n_docs=n_docs,
         analyzer=meta["analyzer"],
         num_buckets=meta["num_buckets"],
@@ -444,10 +461,32 @@ def add_documents(
         timings=timings,
     )
     if dest is None:
-        old = index_dir + ".old"
         shutil.rmtree(old, ignore_errors=True)
         os.rename(index_dir, old)
         os.rename(merged_dir, index_dir)
         shutil.rmtree(old, ignore_errors=True)
+    shutil.rmtree(delta_dir, ignore_errors=True)
+    return merged
+
+
+def _finish_swap(index_dir: str, merged_dir: str, delta_dir: str, delta_fp: str) -> dict:
+    """The end of an `add_documents` swap that stopped after moving the
+    live index to ``.old``: when ``merged_dir`` holds the committed
+    merge of `index_dir` with the delta at `delta_dir`, whose exchange
+    carries `delta_fp`, move it into place, clean up and return its
+    meta; otherwise raise ValueError."""
+    old = index_dir + ".old"
+    try:
+        merged = load_meta(merged_dir)
+        ours = (merged.get("merged_from") == [index_dir, delta_dir]
+                and load_exchange_meta(delta_dir).get("fingerprint") == delta_fp)
+    except (OSError, ValueError):
+        ours = False
+    if not ours:
+        raise ValueError(
+            f"{index_dir} is missing and {old} holds the index before an update, but "
+            f"{merged_dir} and {delta_dir} hold no committed merge of this update")
+    os.rename(merged_dir, index_dir)
+    shutil.rmtree(old, ignore_errors=True)
     shutil.rmtree(delta_dir, ignore_errors=True)
     return merged

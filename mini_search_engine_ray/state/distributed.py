@@ -265,6 +265,7 @@ class PartsSearcher:
         # the index is immutable, so a term's GLOBAL df is a constant:
         # cache it and pay the pass-1 exchange once per distinct term
         self._df_cache: dict[str, int] = {}
+        self._tokens: dict[str, tuple[str, ...]] = {}  # keyword -> analyzed tokens
 
     def _open_parts(self, part_dirs: list[str]) -> list:
         return [PartitionSearcher(d, self.n_docs, self.avgdl) for d in part_dirs]
@@ -310,7 +311,7 @@ class PartsSearcher:
         return self._bm25_batch(queries, k, prune, False)
 
     def _bm25_batch(self, queries, k, prune: bool, hydrate: bool):
-        toks = [query_tokens(self.analyzer, q) for q in queries]
+        toks = [query_tokens(self.analyzer, q, self._tokens) for q in queries]
         gdf = self._global_dfs(sorted({t for ts in toks for t in ts}))
         tws = [bm25_query_weights(ts, gdf, self.n_docs) for ts in toks]
         empty = (np.empty(0, dtype=np.int64), np.empty(0)) + (([],) if hydrate else ())
@@ -326,7 +327,7 @@ class PartsSearcher:
     def search_tfidf(self, keywords: list[str], top_k: int | None = 10):
         """Multi-part reference tf·idf (idf = N/df, NO log; the
         per-segment two-pass of IIM:1351-1449 over parts)."""
-        toks = query_tokens(self.analyzer, keywords)
+        toks = query_tokens(self.analyzer, keywords, self._tokens)
         tw = tfidf_query_weights(toks, self._global_dfs(sorted(set(toks))), self.n_docs)
         if not tw:
             return np.empty(0, dtype=np.int64), np.empty(0)

@@ -30,17 +30,20 @@ Query surface (parity with `InvertedIndexManager`):
 Per-term state is decoded once per searcher and cached beside the
 postings (both caches hold up to POSTINGS_CACHE_MAX entries): the
 decoded posting arrays, and for BM25 a `_TermState` with the term's
-weight bound from its block-max metadata and the BM25 weight of every
-posting at the last query scale (qw, idf) it served (for a term dense
-in its doc-id span, also that span's hit mask and weight vector). All
-depend on avgdl, which multi-part serving overrides after
-construction, so a state is keyed by the avgdl it was built with and
-rebuilt when that differs. Cached arrays are read-only, as every later
-query shares them. A warm BM25 query whose scale repeats (qw is almost
-always 1, idf is fixed per index or per global df) thus only decides
-scan or probe from df and the bounds, adds or scatters cached weights
-per doc and selects its top-k, and `_topk` sorts only the docs at or
-above the kth score.
+weight bound from its block-max metadata and, for each of the last
+SCALES_PER_TERM query scales (qw, idf) it served, the BM25 weight of
+every posting, its span vector (for a term dense in its doc-id span)
+and its ranked order (for a one-term query). All depend on avgdl,
+which multi-part serving overrides after construction, so a state is
+keyed by the avgdl it was built with and rebuilt when that differs.
+Cached arrays are read-only, as every later query shares them. qw is
+a token's count in its query, so one stream serves a term at qw 1 and
+2; idf is fixed per index or per global df. A warm BM25 query whose
+scales were served before thus only decides scan or probe from df and
+the bounds, adds or scatters cached weights per doc and selects its
+top-k (`_topk` sorts only the docs at or above the kth score; a
+one-term query slices its ranked order). Keywords' analyzed tokens
+are memoized too.
 """
 
 from __future__ import annotations
@@ -83,10 +86,20 @@ def bm25_idf(df: int, n_docs: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
-def query_tokens(analyzer, query: str | list[str]) -> list[str]:
-    """The analyzed tokens of a query string or keyword list, in order."""
-    keywords = [query] if isinstance(query, str) else query
-    return [t for kw in keywords for t in analyzer.analyze(kw)]
+def query_tokens(analyzer, query: str | list[str], memo: dict) -> list[str]:
+    """The analyzed tokens of a query string or keyword list, in order.
+    Each keyword's tokens are memoized in `memo` as a tuple (up to
+    POSTINGS_CACHE_MAX keywords), and a new list is returned, so a
+    caller that edits it changes no later query."""
+    out: list[str] = []
+    for kw in [query] if isinstance(query, str) else query:
+        toks = memo.get(kw)
+        if toks is None:
+            toks = tuple(analyzer.analyze(kw))
+            if len(memo) < POSTINGS_CACHE_MAX:
+                memo[kw] = toks
+        out += toks
+    return out
 
 
 def bm25_query_weights(tokens: list[str], df, n_docs: int) -> list[tuple[str, float, float]]:
@@ -128,8 +141,9 @@ def save_tombstones(index_dir: str, terms: set[str]) -> None:
 # entries a searcher caches, for postings and for BM25 term state alike
 POSTINGS_CACHE_MAX = 100_000
 
+SCALES_PER_TERM = 4  # query scales whose arrays a `_TermState` keeps
 COUNTER_KEYS = ("queries", "postings_scored", "blocks_skipped",
-                "candidates_admitted", "span_terms")
+                "candidates_admitted", "span_terms", "weights_built")
 
 
 def _bm25_den(tf, dl, avgdl: float):
@@ -195,17 +209,20 @@ class _TermState:
     per-sub-shard block boundaries), `ub_unit`, the largest
     `tf*(K1+1)/den` over the block-max metadata (over the postings
     themselves when there is none), so that `qw*idf*ub_unit` bounds
-    every weight of the term, and `scaled`, the last query scale
-    `(qw, idf)` served with the weight of every posting at it (and
-    `mask`, `spanned` of a term the scan adds as a `span`). All
-    depend on `avgdl`, kept here so the searcher can rebuild the state
-    when its avgdl is overridden."""
+    every weight of the term, the span `mask` of a term the scan adds
+    as a `span`, and `scales`: for each query scale `(qw, idf)` served,
+    oldest first and at most SCALES_PER_TERM of them, the entry
+    [weights, span vector, ranked order], its weights computed on first
+    use and the other two when first asked for. All depend on `avgdl`,
+    kept here so the searcher can rebuild the state when its avgdl is
+    overridden; `counters` is the searcher's, which tallies
+    `weights_built`."""
 
-    __slots__ = ("avgdl", "blocks", "ub_unit", "scaled", "mask", "spanned")
+    __slots__ = ("avgdl", "blocks", "ub_unit", "scales", "mask", "counters")
 
-    def __init__(self, p, block_meta, avgdl: float) -> None:
-        self.avgdl, self.mask = avgdl, None  # mask: built with the first span
-        self.scaled = self.spanned = None, None
+    def __init__(self, p, block_meta, avgdl: float, counters: Counter) -> None:
+        self.avgdl, self.counters, self.mask = avgdl, counters, None  # mask: at first span
+        self.scales: dict[tuple[float, float], list] = {}
         if block_meta is None:
             self.blocks = 0
             tf, den = p[1], _bm25_den(p[1], p[2], avgdl)
@@ -215,31 +232,44 @@ class _TermState:
             den = _bm25_den(tf, blk_min_dl, avgdl)
         self.ub_unit = float((tf * (K1 + 1.0) / den).max(initial=0.0))
 
+    def _scale(self, p, qw: float, idf: float) -> list:
+        """The entry of scale (qw, idf), made with its weights when new;
+        a full state drops its oldest scale first."""
+        e = self.scales.get((qw, idf))
+        if e is None:
+            w = _frozen(_bm25_weight(p[1], _bm25_den(p[1], p[2], self.avgdl), idf, qw))
+            self.counters["weights_built"] += 1
+            if len(self.scales) >= SCALES_PER_TERM:
+                self.scales.pop(next(iter(self.scales)), None)
+            e = self.scales[qw, idf] = [w, None, None]
+        return e
+
     def weights(self, p, qw: float, idf: float) -> np.ndarray:
         """The (read-only) BM25 weight of every posting of `p` at query
-        scale (qw, idf), recomputed only when the scale differs from
-        the last one served. Scale and weights are swapped as one
-        tuple, so a reader never pairs one scale with another's
-        weights."""
-        scale, w = self.scaled
-        if scale != (qw, idf):
-            w = _frozen(_bm25_weight(p[1], _bm25_den(p[1], p[2], self.avgdl), idf, qw))
-            self.scaled = (qw, idf), w
-        return w
+        scale (qw, idf)."""
+        return self._scale(p, qw, idf)[0]
 
     def span(self, p, qw: float, idf: float):
         """Read-only (mask, vector) over the term's doc-id span: True and
         its weight at scale (qw, idf) at its docs, False and 0.0
-        elsewhere; the vector is swapped with its scale, as `scaled`."""
-        scale, vec = self.spanned
-        if scale != (qw, idf):
+        elsewhere."""
+        e = self._scale(p, qw, idf)
+        if e[1] is None:
             i = p[0] - p[0][0]
             vec = np.zeros(int(i[-1]) + 1)
-            vec[i] = self.weights(p, qw, idf)
+            vec[i] = e[0]
             if self.mask is None:
                 self.mask = _frozen(np.bincount(i) > 0)
-            self.spanned = (qw, idf), _frozen(vec)
-        return self.mask, vec
+            e[1] = _frozen(vec)
+        return self.mask, e[1]
+
+    def ranked(self, p, qw: float, idf: float):
+        """(weights, order) at scale (qw, idf): the read-only order of
+        the postings by (weight desc, doc_id asc), `_topk`'s order."""
+        e = self._scale(p, qw, idf)
+        if e[2] is None:
+            e[2] = _frozen(np.lexsort((p[0], -e[0])))
+        return e[0], e[2]
 
 
 class _TermDict:
@@ -325,6 +355,7 @@ class IndexSearcher:
         self._terms: dict[int, _TermDict | None] = {}
         self._postings_cache: dict[str, tuple | None] = {}
         self._bm25_states: dict[str, _TermState] = {}
+        self._tokens: dict[str, tuple[str, ...]] = {}  # keyword -> analyzed tokens
         # ranked-query work tallies (`search_bm25` documents each key)
         self.counters = Counter(dict.fromkeys(COUNTER_KEYS, 0))
 
@@ -679,7 +710,7 @@ class IndexSearcher:
         overrides avgdl after construction)."""
         st = self._bm25_states.get(term)
         if st is None or st.avgdl != self.avgdl:
-            st = _TermState(p, self._block_meta(term), self.avgdl)
+            st = _TermState(p, self._block_meta(term), self.avgdl, self.counters)
             if len(self._bm25_states) < POSTINGS_CACHE_MAX:
                 self._bm25_states[term] = st
         return st
@@ -706,15 +737,18 @@ class IndexSearcher:
                                no posting was scored
           candidates_admitted  docs whose score was accumulated
           span_terms           terms a scan added as span vectors
+          weights_built        (term, query scale) weight arrays
+                               computed; 0 on a stream already served
         so `postings_scored / queries` is the serving work per query.
 
-        A warm query does only query-dependent work: each term's weight
-        bound is computed once per searcher and its posting weights once
+        A warm query does only query-dependent work: each keyword is
+        analyzed once per searcher, each term's weight bound is computed
+        once and its posting weights, span vector and ranked order once
         per query scale (qw, idf) (`_TermState`, cached beside the
-        postings under the same entry cap, keeping the weights or span
-        vector of the last scale served), and both are rebuilt when
-        `self.avgdl` changes."""
-        toks = query_tokens(self.analyzer, query)
+        postings under the same entry cap, keeping its last
+        SCALES_PER_TERM scales), and all are rebuilt when `self.avgdl`
+        changes."""
+        toks = query_tokens(self.analyzer, query, self._tokens)
         tw = bm25_query_weights(toks, {t: self.df(t) for t in set(toks)}, self.n_docs)
         return self.search_bm25_weighted(tw, k, prune=prune)
 
@@ -741,8 +775,9 @@ class IndexSearcher:
                            are bitwise those of a single-index search
                            with the same triples (each doc lives in
                            exactly one partition)
-          one term         top-k straight from its weights
-                           (`_bm25_probe` with no other term)
+          one term         the first k of its cached ranked order
+                           (`_TermState.ranked`), + 0.0 as the probe's
+                           sum from 0.0 gives
           several terms    a probe when one rare term's kth weight cuts
                            off every doc without it and binary search
                            into the other terms costs less than
@@ -759,9 +794,13 @@ class IndexSearcher:
             return np.empty(0, dtype=np.int64), np.empty(0)
         if prune and k is not None and k > 0:
             if len(terms) == 1:
-                plan = 0, _term_weights(terms[0])
-            else:
-                plan = self._probe_plan(terms, k)
+                qw, idf, p, st = terms[0]
+                w, top = st.ranked(p, qw, idf)
+                top = top[:k]
+                self.counters["postings_scored"] += len(w)
+                self.counters["candidates_admitted"] += len(w)
+                return p[0][top], w[top] + 0.0
+            plan = self._probe_plan(terms, k)
             if plan is not None:
                 return self._bm25_probe(terms, k, *plan)
         return self._bm25_scan(terms, k)
@@ -915,7 +954,7 @@ class IndexSearcher:
         log; query vector accumulates per duplicate analyzed token;
         score = dot(doc,query) / sqrt(sum over query terms of
         tfidf_doc^2). Returns (doc_ids, scores) desc, ties by doc_id."""
-        toks = query_tokens(self.analyzer, keywords)
+        toks = query_tokens(self.analyzer, keywords, self._tokens)
         tw = tfidf_query_weights(toks, {t: self.df(t) for t in set(toks)}, self.n_docs)
         return self.search_tfidf_weighted(tw, top_k)
 

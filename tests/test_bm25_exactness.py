@@ -37,11 +37,14 @@ from mini_search_engine_ray.stages.shards import list_shards, open_shard
 from mini_search_engine_ray.state.distributed import PartsSearcher, build_partitioned_index
 from mini_search_engine_ray.state.searcher import (
     COUNTER_KEYS,
+    K1,
+    SCALES_PER_TERM,
     IndexSearcher,
     _bm25_den,
     _bm25_weight,
     _topk,
     bm25_idf,
+    query_tokens,
 )
 
 VOCAB = ["search", "shard", "stream", "reader", "writer", "index", "token",
@@ -402,6 +405,13 @@ def test_topk_matches_full_lexsort(seed):
         assert len(got_ids) == len(got_scores) == 0
 
 
+def _span_vectors(s) -> dict[str, dict]:
+    """term -> {scale: bytes of its span vector} over every scale whose
+    span vector `s` has built."""
+    return {t: {sc: e[1].tobytes() for sc, e in st.scales.items() if e[1] is not None}
+            for t, st in s._bm25_states.items() if st.mask is not None}
+
+
 def test_avgdl_override_rebuilds_term_state(big_searcher):
     """A searcher that served queries before its stats were overridden
     (as `PartitionSearcher.__init__` does) must rebuild the cached BM25
@@ -415,7 +425,7 @@ def test_avgdl_override_rebuilds_term_state(big_searcher):
     for q in queries:
         served.search_bm25(q, 10)
         served.search_bm25(q, 10, prune=False)
-    before = {t: st.spanned[1] for t, st in served._bm25_states.items() if st.mask is not None}
+    before = _span_vectors(served)
     assert before
     fresh = IndexSearcher(d)
     for s in (served, fresh):
@@ -424,9 +434,10 @@ def test_avgdl_override_rebuilds_term_state(big_searcher):
     for q in queries:
         for kw in ({}, {"prune": False}):
             _assert_same(served.search_bm25(q, 10, **kw), fresh.search_bm25(q, 10, **kw), (q, kw))
-    for t, vec in before.items():
-        now = served._bm25_states[t].spanned[1]
-        assert now.tobytes() == fresh._bm25_states[t].spanned[1].tobytes() != vec.tobytes(), t
+    now = _span_vectors(served)
+    assert now == _span_vectors(fresh)
+    for t, vecs in before.items():
+        assert now[t] and not set(now[t].values()) & set(vecs.values()), t
 
 
 def _assert_same_as_fresh(served, method: str, q):
@@ -439,21 +450,28 @@ def _assert_same_as_fresh(served, method: str, q):
 
 
 def test_weight_cache_follows_query_weight(big_searcher):
-    """A term's cached weights and span vector are those of the last
-    (qw, idf) it served: a repeated token (qw 2) recomputes them and a
-    later qw 1 query recomputes them back, each answer bitwise a fresh
-    one's; the span mask does not depend on the scale."""
+    """A term keeps its weights and span vector per (qw, idf) served: a
+    repeated token (qw 2) computes a second entry and a later qw 1
+    query is served from the first entry's arrays (the same objects),
+    each answer bitwise a fresh one's; the span mask does not depend
+    on the scale."""
     s = IndexSearcher(big_searcher.index_dir)
     t = _stem(s, "information")
-    masks = set()
+    idf = bm25_idf(s.df(t), s.n_docs)
+    masks, first = set(), {}
     for q, qw in ((["information"], 1), (["information", "information", "index"], 2),
                   (["information"], 1), (["information", "index"], 1)):
         _assert_same_as_fresh(s, "search_bm25", q)
         st = s._bm25_states[t]
-        assert st.scaled[0][0] == st.spanned[0][0] == qw
-        assert st.spanned[1][s.postings(t)[0]].tobytes() == st.scaled[1].tobytes()
+        w, vec, _ = st.scales[qw, idf]
+        assert all(a is b for a, b in zip(first.setdefault(qw, (w, vec)), (w, vec)))
+        assert vec[s.postings(t)[0]].tobytes() == w.tobytes()
         masks.add(id(st.mask))
     assert len(masks) == 1
+    assert list(s._bm25_states[t].scales) == [(1, idf), (2, idf)]
+    for qw in range(3, 7):  # a full state drops its oldest scale first
+        _assert_same_as_fresh(s, "search_bm25", ["information"] * qw)
+    assert list(s._bm25_states[t].scales) == [(qw, idf) for qw in range(7 - SCALES_PER_TERM, 7)]
 
 
 def test_weight_cache_follows_external_idf(big_searcher):
@@ -470,21 +488,24 @@ def test_weight_cache_follows_external_idf(big_searcher):
                          ("search_bm25_weighted", part), ("search_bm25_weighted", part[1:]),
                          ("search_bm25", q), ("search_bm25_weighted", part)):
         _assert_same_as_fresh(s, method, step)
-    assert [s._bm25_states[t].scaled[0] for t in terms] == [(1, idf) for _, _, idf in part]
+    assert [list(s._bm25_states[t].scales) for t in terms] == [
+        [(1, li), (1, pi)] for (_, _, li), (_, _, pi) in zip(local, part)]
 
 
 def test_cached_arrays_are_read_only(big_searcher):
-    """Cached postings, weights, span vectors and span masks are shared
-    by every later query: an in-place write raises, and the next query
-    still answers as a fresh searcher's."""
+    """Cached postings, weights, span vectors, ranked orders and span
+    masks are shared by every later query: an in-place write raises,
+    and the next query still answers as a fresh searcher's."""
     s = IndexSearcher(big_searcher.index_dir)
     q = ["needle", "information"]
     s.search_bm25(q, 10)
     s.search_bm25(q, 10, prune=False)
+    s.search_bm25(q[1:], 10)  # one term: builds its ranked order
     t = _stem(s, "information")
     p = s.postings(t)
     st = s._bm25_states[t]
-    arrays = [*p[:3], st.scaled[1], st.spanned[1], st.mask]
+    (entry,) = st.scales.values()
+    arrays = [*p[:3], *entry, st.mask]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 7
@@ -496,11 +517,12 @@ def test_cached_arrays_are_read_only(big_searcher):
 
 
 def test_counters_keys(big_searcher):
-    """Every ranked query is tallied under the same four keys, scans,
-    one-term queries and queries with no known term included."""
+    """Every ranked query is tallied under the same keys, scans,
+    one-term queries and queries with no known term included; a term's
+    weights are built once per query scale."""
     s = IndexSearcher(big_searcher.index_dir)
     keys = {"queries", "postings_scored", "blocks_skipped",
-            "candidates_admitted", "span_terms"}
+            "candidates_admitted", "span_terms", "weights_built"}
     assert set(COUNTER_KEYS) == keys
     assert set(s.counters) == keys
     s.search_bm25(["search", "shard"], 10)
@@ -508,12 +530,91 @@ def test_counters_keys(big_searcher):
     assert s.counters["queries"] == 1
     assert s.counters["postings_scored"] > 0
     assert s.counters["span_terms"] == 2  # two dense terms: it scans
+    assert s.counters["weights_built"] == 2
     s.search_bm25(["search", "shard"], 10, prune=False)
     s.search_bm25(["search"], None)
     s.search_bm25(["qwertyuiop"], 10)
     assert set(s.counters) == keys
     assert s.counters["queries"] == 4
     assert s.counters["span_terms"] == 5
+    # the same two scales, and one for "qwertyuiop" (in one doc)
+    assert s.counters["weights_built"] == 3
+
+
+@pytest.mark.parametrize("which", ["big_searcher", "salted_searcher", "offset_part",
+                                   "spread_searcher"])
+def test_one_term_topk_is_ranked_order_prefix(which, request):
+    """A one-term top-k is the prefix of the term's cached ranked order:
+    bitwise `_topk` over 0.0 + its weights from the formula, for k at
+    1, 10, df - 1, df and df + 3, at two query weights, with ties at
+    the kth score among the cases (and the rare `needle` where it is
+    indexed). Each query still tallies df scored and admitted."""
+    base = request.getfixturevalue(which)
+    s = IndexSearcher(base.index_dir)
+    s.n_docs, s.avgdl = base.n_docs, base.avgdl
+    by_df = _terms_by_df(s)
+    ranked = sorted(by_df, key=lambda t: (by_df[t], t))
+    terms = [ranked[0], ranked[len(ranked) // 2], ranked[-len(ranked) // 10], ranked[-1]]
+    terms += [t for t in s.analyzer.analyze("needle") if t in by_df]
+    terms += [next(t for t in ranked if _kth_tie(s, t))]
+    kth_ties = 0
+    for t in dict.fromkeys(terms):
+        p, df = s.postings(t), by_df[t]
+        idf = bm25_idf(df, s.n_docs)
+        for qw in (1, 2):
+            w = _bm25_weight(p[1], _bm25_den(p[1], p[2], s.avgdl), idf, qw)
+            for k in dict.fromkeys((1, 10, df - 1, df, df + 3)):
+                before = dict(s.counters)
+                got = s.search_bm25_weighted([(t, qw, idf)], k)
+                _assert_same(got, _topk(p[0], 0.0 + w, k), (t, qw, k))
+                if k > 0:
+                    assert s.counters["postings_scored"] - before["postings_scored"] == df
+                    assert s.counters["candidates_admitted"] - before["candidates_admitted"] == df
+                top = np.sort(w)[::-1]
+                kth_ties += 0 < k < df and top[k - 1] == top[k]
+    assert kth_ties
+
+
+def _kth_tie(s, t) -> bool:
+    """Whether term t's 1st or 10th largest weight ties the next one."""
+    p = s.postings(t)
+    top = np.sort(p[1] * (K1 + 1.0) / _bm25_den(p[1], p[2], s.avgdl))[::-1]
+    return any(k < len(top) and top[k - 1] == top[k] for k in (1, 10))
+
+
+def test_second_pass_builds_no_weights(big_searcher):
+    """Once a stream of queries mixing query weights 1 and 2 has been
+    served, serving it again builds no weight array: every (term,
+    scale) it needs is still cached."""
+    s = IndexSearcher(big_searcher.index_dir)
+    rng = np.random.default_rng(53)
+    queries = [list(rng.choice(VOCAB, size=int(rng.integers(1, 5)))) for _ in range(300)]
+    first = [s.search_bm25(q, 10) for q in queries]
+    built = s.counters["weights_built"]
+    assert built > 0
+    for q, want in zip(queries, first):
+        _assert_same(s.search_bm25(q, 10), want, q)
+    assert s.counters["weights_built"] == built
+
+
+def test_query_analysis_memo(big_searcher):
+    """Memoized analysis gives a fresh analysis's tokens, for a string
+    and for a keyword list, cold and warm; a caller that edits the
+    returned list changes no later query."""
+    s = IndexSearcher(big_searcher.index_dir)
+    memo: dict = {}
+    for q in ("Information retrieval of the NEEDLES", ["search", "Shard's", "the"],
+              ["information", "information", "kitten"], [], "", "the"):
+        want = [t for kw in ([q] if isinstance(q, str) else q) for t in s.analyzer.analyze(kw)]
+        for _ in range(2):
+            assert query_tokens(s.analyzer, q, memo) == want, q
+    q = ["needle", "information"]
+    want = s.search_bm25(q, 10)
+    toks = query_tokens(s.analyzer, q, s._tokens)
+    toks[0] = "search"
+    toks.append("shard")
+    _assert_same(s.search_bm25(q, 10), want, q)
+    _assert_same(s.search_bm25(q, 10), IndexSearcher(s.index_dir).search_bm25(q, 10), q)
 
 
 def test_rare_term_lets_common_term_skip_blocks(big_searcher):

@@ -311,6 +311,67 @@ def test_add_documents_resumes_from_committed_exchange(ray_session, tmp_path, mo
         assert meta[key] == ref_meta[key], key
 
 
+def test_add_documents_finishes_an_interrupted_swap(ray_session, tmp_path, monkeypatch):
+    """A crash between the swap's two renames (live already moved to
+    `.old`, `.merged` not yet moved in): a re-run of another update
+    raises and touches nothing, and a re-run of the same call finishes
+    the swap without tokenizing again, giving the same index as an
+    uninterrupted update."""
+    import os
+    import shutil
+
+    import pytest
+    import ray.data as rd
+
+    from mini_search_engine_ray.pipelines.build import add_documents, load_meta
+
+    corpus = synth_corpus(80, seed=93)
+    sl = lambda lo, hi: rd.from_arrow(
+        corpus.select(["doc_id", "content"]).slice(lo, hi - lo))
+    base = str(tmp_path / "base")
+    build_index(sl(0, 60), base, num_buckets=4, positional=True, n_docs=60,
+                fingerprint="base")
+    ref, live = str(tmp_path / "ref"), str(tmp_path / "live")
+    shutil.copytree(base, ref)
+    shutil.copytree(base, live)
+    ref_meta = add_documents(ref, sl(60, 80), n_new_docs=20, fingerprint="d")
+
+    real_rename = os.rename
+
+    def killed(src, dst):
+        if src == live + ".merged":
+            raise RuntimeError("killed inside the swap")
+        real_rename(src, dst)
+
+    work = str(tmp_path / "work")
+    monkeypatch.setattr(os, "rename", killed)
+    with pytest.raises(RuntimeError, match="killed"):
+        add_documents(live, sl(60, 80), n_new_docs=20, fingerprint="d", work_dir=work)
+    monkeypatch.undo()
+    assert not os.path.exists(live)
+    left = sorted(os.listdir(tmp_path))
+
+    def poisoned(batch):
+        raise AssertionError("the committed delta was tokenized again")
+
+    again = rd.from_arrow(corpus.select(["doc_id", "content"]).slice(60, 20)) \
+        .map_batches(poisoned, batch_format="pyarrow")
+    for other in ({"fingerprint": "e", "work_dir": work},
+                  {"fingerprint": "d", "work_dir": str(tmp_path / "elsewhere")}):
+        with pytest.raises(ValueError, match="live.old"):
+            add_documents(live, again, n_new_docs=20, **other)
+        assert sorted(os.listdir(tmp_path)) == left
+    meta = add_documents(live, again, n_new_docs=20, fingerprint="d", work_dir=work)
+    for gone in (work, live + ".old", live + ".merged"):
+        assert not os.path.exists(gone), gone
+    assert _shard_bytes(live) == _shard_bytes(ref)
+    assert _docstore_rows(live).equals(_docstore_rows(ref))
+    assert meta == load_meta(live)
+    assert set(meta) == set(ref_meta)
+    for key in ("n_docs", "total_tokens", "avgdl", "n_postings", "n_shards", "fingerprint"):
+        assert meta[key] == ref_meta[key], key
+
+
 def test_fanout_task_counts_and_global_context(ray_session, tmp_path):
     """Phase B and the merge run their shards as at most one task per
     `task_num_cpus` CPUs (recorded in the meta), and the 1 MiB output
