@@ -4,8 +4,8 @@
       -> map_batches(tokenize + explode)              zero-copy Arrow
       -> write_parquet(partition_cols=["shard"])      phase A: THE
          (term-bucketed, salted packed fragments)     exchange
-      -> one task per CPU slot, shards dealt          phase B
-         round-robin: read partition, write_shard
+      -> plain Ray tasks, one per CPU slot, shards    phase B
+         dealt round-robin: read partition, write_shard
       -> manifests (tiny) -> meta.json
     [+ docstore side-output by the tokenize tasks: doc_id, repo, path,
        lang, sha256, content]
@@ -30,6 +30,8 @@ Scale notes (100 TB design point):
   * num_buckets sizes shards: target ~ total_postings/num_buckets
     rows per shard; raise it with corpus size. The number of phase-B
     tasks comes from the cluster instead (`stages/fanout.py`).
+  * phase A is the one Ray Data execution of a build or update; phase
+    B and the merge only hand out keys, so they run as plain Ray tasks.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def build_index(
 
     A two-phase hash exchange: in phase A (`write_exchange`) tokenize
     tasks write packed fragments hive-partitioned by shard
-    (`write_parquet(partition_cols=["shard"])`); in phase B stateless
+    (`write_parquet(partition_cols=["shard"])`); in phase B plain Ray
     tasks, at most one per `task_num_cpus` CPUs of the cluster, each
     read only their shards' partitions and build those segments. This
     is a map-side-partition / reduce-side-read shuffle: no global sort,
@@ -378,7 +380,8 @@ def add_documents(
     The reference updates an index by buffering `addDocument` calls
     into an in-memory segment, flushing it, and compacting with
     `mergeAllSegments` (`InvertedIndexManager.java:162-440`); the Ray
-    analogue, packaged here, runs two dataset executions:
+    analogue, packaged here, runs one dataset execution (phase A) and
+    one round of plain Ray tasks (the merge):
 
       1. phase A only (`write_exchange`) over ``new_docs_ds`` into
          ``work_dir`` (default ``index_dir + ".delta"``): tokenize and
@@ -404,7 +407,10 @@ def add_documents(
     doc_ids disjoint from the live index's (caller-assigned identity,
     the same contract as `build_index`; an overlapping id would
     double-count its postings, exactly like calling the reference's
-    addDocument twice with the same document).
+    addDocument twice with the same document). Pass ``n_new_docs``,
+    e.g. `corpus_num_rows(paths)` for a `read_corpus(paths)` dataset:
+    without it ``new_docs_ds.count()`` runs, which reads the new
+    documents a second time.
 
     Tombstone semantics follow `merge_indexes`: terms tombstoned on
     the live index are PHYSICALLY dropped from the merged result —

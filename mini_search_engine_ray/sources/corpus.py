@@ -166,51 +166,49 @@ def corpus_fingerprint(paths: list[str]) -> str:
     return h.hexdigest()[:16]
 
 
-def _rowgroup_tasks(paths: list[str]) -> list[dict]:
+def _parquet_files(paths: str | list[str]) -> list[str]:
+    """The sorted files of `paths`: a file, a list of files, or a
+    directory, which means its `.parquet` files but the `_`- and
+    `.`-prefixed ones (temp files; Arrow dataset discovery skips them)."""
+    import os
+
+    if isinstance(paths, str) and os.path.isdir(paths):
+        paths = [os.path.join(paths, f) for f in os.listdir(paths)
+                 if f.endswith(".parquet") and not f.startswith(("_", "."))]
+    return sorted([paths] if isinstance(paths, str) else paths)
+
+
+def _rowgroup_tasks(paths: str | list[str]) -> list[dict]:
     import pyarrow.parquet as pq
 
-    tasks = []
-    offset = 0
-    for p in sorted(paths):
+    tasks, offset = [], 0
+    for p in _parquet_files(paths):
         md = pq.read_metadata(p)
         for rg in range(md.num_row_groups):
-            n = md.row_group(rg).num_rows
-            tasks.append({"file": p, "row_group": rg, "offset": offset, "rows": n})
-            offset += n
+            tasks.append({"file": p, "row_group": rg, "offset": offset})
+            offset += md.row_group(rg).num_rows
     return tasks
 
 
-def corpus_num_rows(paths: list[str]) -> int:
+def corpus_num_rows(paths: str | list[str]) -> int:
     """Total row count from the parquet FOOTERS only — callers pass
-    this as build_index(n_docs=...) so the build never runs a
-    data-reading count() pass over the corpus."""
+    this as build_index(n_docs=...) / add_documents(n_new_docs=...) so
+    the build never runs a data-reading count() pass over the corpus."""
     import pyarrow.parquet as pq
 
-    return sum(pq.read_metadata(p).num_rows for p in sorted(paths))
+    return sum(pq.read_metadata(p).num_rows for p in _parquet_files(paths))
 
 
-def read_corpus(paths: str | list[str], *, columns: list[str] | None = None):
-    """Read a corpus Parquet table that already carries doc_id."""
+def _read_row_groups(paths: str | list[str], columns: list[str] | None, *, assign_ids: bool):
+    """The rows of `paths` (see `_parquet_files`) in file and row order,
+    one Ray task per row group (planned from the footers on the
+    driver); with `assign_ids`, doc_id = row-group offset + local index.
+    `ds.count()` runs the read: pass `corpus_num_rows(paths)` instead.
+    The read never fuses with the caller's next map: fused, a
+    `map_batches(batch_size=B)` would bundle B row-group descriptors
+    into one task and read them all there, one after another."""
     import ray.data as rd
 
-    return rd.read_parquet(paths, columns=columns)
-
-
-def read_corpus_with_doc_ids(paths: str | list[str], *, columns: list[str] | None = None):
-    """Read (repo, path, commit, lang, content) Parquet and attach a
-    deterministic global doc_id from row-group offsets.
-
-    One Ray task per row group (a metadata-only planning pass on the
-    driver), each emitting its rows with doc_id = offset + local index.
-    Deterministic at any parallelism; streams; no shuffle. The read
-    never fuses with the caller's next map: fused, a `map_batches(
-    batch_size=B)` would bundle B row-group descriptors into one task
-    and read them all there, one after another.
-    """
-    import ray.data as rd
-
-    if isinstance(paths, str):
-        paths = [paths]
     tasks = _rowgroup_tasks(paths)
 
     def read_one(batch: pa.Table) -> pa.Table:
@@ -218,15 +216,16 @@ def read_corpus_with_doc_ids(paths: str | list[str], *, columns: list[str] | Non
 
         out = []
         for row in batch.to_pylist():
-            pf = pq.ParquetFile(row["file"])
-            t = pf.read_row_group(row["row_group"], columns=columns)
-            if "doc_id" in t.column_names:
+            t = pq.ParquetFile(row["file"]).read_row_group(row["row_group"], columns=columns)
+            if assign_ids:
                 # this reader ASSIGNS identity; a pre-existing doc_id
                 # column would otherwise duplicate the field name and
                 # crash every downstream select
-                t = t.drop_columns(["doc_id"])
-            ids = pa.array(np.arange(row["offset"], row["offset"] + t.num_rows, dtype=np.int64))
-            out.append(t.add_column(0, "doc_id", ids))
+                if "doc_id" in t.column_names:
+                    t = t.drop_columns(["doc_id"])
+                ids = np.arange(row["offset"], row["offset"] + t.num_rows, dtype=np.int64)
+                t = t.add_column(0, "doc_id", pa.array(ids))
+            out.append(t)
         return pa.concat_tables(out)
 
     # Ray Data fuses no operator that has a `ray_remote_args_fn`; this
@@ -234,6 +233,19 @@ def read_corpus_with_doc_ids(paths: str | list[str], *, columns: list[str] | Non
     return rd.from_items(tasks, override_num_blocks=max(1, len(tasks))).map_batches(
         read_one, batch_size=1, batch_format="pyarrow", ray_remote_args_fn=dict
     )
+
+
+def read_corpus(paths: str | list[str], *, columns: list[str] | None = None):
+    """Read a corpus Parquet table that already carries doc_id: the rows
+    `pyarrow.parquet.read_table(paths)` gives (`_read_row_groups`)."""
+    return _read_row_groups(paths, columns, assign_ids=False)
+
+
+def read_corpus_with_doc_ids(paths: str | list[str], *, columns: list[str] | None = None):
+    """Read (repo, path, commit, lang, content) Parquet and attach a
+    deterministic global doc_id from row-group offsets (row i of the
+    sorted files gets doc_id i, at any parallelism; `_read_row_groups`)."""
+    return _read_row_groups(paths, columns, assign_ids=True)
 
 
 def adapt_documents_table(sf_dir: str):

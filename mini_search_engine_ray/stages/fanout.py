@@ -3,14 +3,13 @@ bucket ids) as at most one Ray task per CPU slot of the cluster.
 
 Phase B of `build_index` and the per-bucket merge both write one shard
 per key and return its one-row manifest. One task per key costs a task
-launch per shard, and Ray Data 2.49 runs such tasks one at a time until
-it has sampled an output: it budgets each pending task at
-`target_max_block_size` (128 MiB) times the streaming-generator buffer
-and charges that against the operator's object-store share, so a small
-store fits one task. Here the keys are packed round-robin into
-``min(n_keys, CPU // num_cpus)`` tasks, and the dataset's OWN context
-(never the global `DataContext`) states the true output size, so the
-tasks run side by side.
+launch per shard, so the keys are packed round-robin into
+``min(n_keys, CPU // num_cpus)`` tasks. These are plain Ray tasks
+(`run_keyed`), not a Ray Data execution: they only hand out keys and
+return manifest rows, and a dataset's planning, operator start-up and
+block bookkeeping would cost more than the work of a small merge.
+`keyed_dataset` hands the same tasks' tables to Ray Data, for callers
+that feed them into further Ray Data operators.
 
 A key group is one task: a retried task re-runs its whole group, so the
 per-key function must be idempotent (shard writes skip a committed
@@ -19,12 +18,10 @@ manifest and report ``skipped``).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 
 import pyarrow as pa
-
-# block-size hint for tasks that return only manifest rows
-MANIFEST_BLOCK_BYTES = 1 << 20
 
 
 def keyed_task_count(n_keys: int, num_cpus: float = 1) -> int:
@@ -39,43 +36,55 @@ def keyed_task_count(n_keys: int, num_cpus: float = 1) -> int:
     return max(1, min(n_keys, slots))
 
 
-def keyed_dataset(
-    keys: Sequence[int],
-    fn: Callable[[int], pa.Table],
-    *,
-    num_cpus: float = 1,
-    num_tasks: int | None = None,
-    block_bytes: int | None = None,
-):
-    """Lazy Dataset of ``fn(key)`` for every key, concatenated per task.
-    Keys are dealt round-robin to `num_tasks` tasks (default
-    `keyed_task_count`). `block_bytes`, when given, is set as this
-    dataset's own `target_max_block_size`: the size of what the tasks
-    return, so Ray Data does not budget them at the 128 MiB default."""
+def _run_group(fn: Callable[[int], pa.Table], keys: list[int]) -> pa.Table:
+    """``fn(key)`` for every key of one group, concatenated."""
+    return pa.concat_tables([fn(k) for k in keys])
+
+
+@functools.cache
+def _group_task():
+    """`_run_group` as a Ray remote function, exported to the cluster
+    once per process rather than once per fan-out."""
+    import ray
+
+    return ray.remote(_run_group)
+
+
+def _start_groups(
+    keys: Sequence[int], fn: Callable[[int], pa.Table], num_cpus: float
+) -> list:
+    """Start one plain Ray task of `num_cpus` CPUs per key group, the
+    keys dealt round-robin to `keyed_task_count` groups; returns the
+    refs of their tables."""
+    import ray
+
+    n = keyed_task_count(len(keys), num_cpus)
+    if n == 0:
+        return []
+    fn_ref = ray.put(fn)  # one copy in the object store for all groups
+    task = _group_task().options(num_cpus=num_cpus)
+    return [task.remote(fn_ref, keys[i::n]) for i in range(n)]
+
+
+def keyed_dataset(keys: Sequence[int], fn: Callable[[int], pa.Table]):
+    """Dataset of ``fn(key)`` for every key, one block per key group of
+    one-CPU tasks (started now), for callers that feed the tables into
+    further Ray Data operators."""
     import ray.data as rd
 
-    keys = list(keys)
-    n = keyed_task_count(len(keys), num_cpus) if num_tasks is None else num_tasks
-    ds = rd.from_items(
-        [{"keys": keys[i::n]} for i in range(n)], override_num_blocks=max(1, n)
-    )
-    if block_bytes is not None:
-        ds.context.target_max_block_size = block_bytes
-
-    def run_group(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables([fn(k) for ks in batch["keys"].to_pylist() for k in ks])
-
-    return ds.map_batches(run_group, batch_size=1, batch_format="pyarrow", num_cpus=num_cpus)
+    return rd.from_arrow_refs(_start_groups(list(keys), fn, 1))
 
 
 def run_keyed(
     keys: Sequence[int], fn: Callable[[int], pa.Table], *, num_cpus: float = 1
 ) -> tuple[list[dict], int]:
-    """Run ``fn(key)`` (a one-row manifest table) for every key; returns
-    (manifest rows, number of tasks)."""
-    n = keyed_task_count(len(keys), num_cpus)
-    if n == 0:
+    """Run ``fn(key)`` (a one-row manifest table) for every key in key
+    groups of `num_cpus` CPUs each (`_start_groups`); returns (manifest
+    rows, number of tasks). An exception raised by `fn` is raised here,
+    wrapped by Ray with its message."""
+    import ray
+
+    refs = _start_groups(keys, fn, num_cpus)
+    if not refs:
         return [], 0
-    ds = keyed_dataset(keys, fn, num_cpus=num_cpus, num_tasks=n,
-                       block_bytes=MANIFEST_BLOCK_BYTES)
-    return ds.take_all(), n
+    return pa.concat_tables(ray.get(refs)).to_pylist(), len(refs)

@@ -27,11 +27,11 @@ update whose new doc_ids follow the live ones decodes no live posting:
 its cost follows the delta, plus a byte copy of the live shard.
 
 Buckets are embarrassingly parallel: they are dealt round-robin to
-stateless Ray tasks, one per CPU of the cluster (`stages/fanout.py`),
-and each bucket is an idempotent write (`shards.write_shard`: temp +
-atomic rename, like the reference's `_new` + rename at `IIM:413-431`),
-so a retried task that re-runs its whole group skips the buckets it
-already committed.
+stateless plain Ray tasks (no Ray Data execution), one per CPU of the
+cluster (`stages/fanout.run_keyed`), and each bucket is an idempotent
+write (`shards.write_shard`: temp + atomic rename, like the
+reference's `_new` + rename at `IIM:413-431`), so a retried task that
+re-runs its whole group skips the buckets it already committed.
 
 A merge may also take DELTAS: directories that hold only a committed
 phase-A exchange (`pipelines/build.write_exchange`) and never built
@@ -412,8 +412,8 @@ def merge_indexes(
 ) -> dict:
     """Merge N indexes, plus any `deltas` (committed phase-A exchanges,
     see `pipelines/build.write_exchange`), into one compacted index at
-    `dest` (Ray tasks, one per CPU, each merging a round-robin share of
-    the buckets; the meta records ``merge_tasks`` and the buckets
+    `dest` (plain Ray tasks, one per CPU, each merging a round-robin
+    share of the buckets; the meta records ``merge_tasks`` and the buckets
     ``shards_written`` / ``shards_skipped``). Each bucket merges term by
     term (`merge_bucket`); the meta sums its work as
     ``merge_terms_copied`` / ``merge_terms_appended`` /

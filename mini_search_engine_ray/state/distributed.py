@@ -107,6 +107,7 @@ def build_partitioned_index(
         os.replace(marker + ".tmp", marker)
 
     from ..pipelines.build import build_index
+    from ..sources.corpus import corpus_num_rows, read_corpus
 
     # partition-local docstores (one per sub-index) enable hydrated
     # serving — each partition can look up ITS OWN docs' content in the
@@ -117,8 +118,8 @@ def build_partitioned_index(
     for p in range(P):
         pdir = os.path.join(part_root, f"part={p}")
         if os.path.isdir(pdir):
-            pds = rd.read_parquet(pdir)
-            n_local = pds.count()
+            # the row count from the footers: no count() pass
+            pds, n_local = read_corpus(pdir), corpus_num_rows(pdir)
         else:  # a partition can be empty under skewed/small corpora
             pds = rd.from_arrow(
                 pa.table({"doc_id": pa.array([], pa.int64()),

@@ -265,10 +265,12 @@ class _TermState:
 
     def ranked(self, p, qw: float, idf: float):
         """(weights, order) at scale (qw, idf): the read-only order of
-        the postings by (weight desc, doc_id asc), `_topk`'s order."""
+        the postings by (weight desc, doc_id asc), `_topk`'s order, as
+        int32 below 2^31 postings (half of lexsort's int64)."""
         e = self._scale(p, qw, idf)
         if e[2] is None:
-            e[2] = _frozen(np.lexsort((p[0], -e[0])))
+            order = np.lexsort((p[0], -e[0]))
+            e[2] = _frozen(order.astype(np.int32) if len(order) < 2**31 else order)
         return e[0], e[2]
 
 

@@ -516,6 +516,25 @@ def test_cached_arrays_are_read_only(big_searcher):
                      IndexSearcher(s.index_dir).search_bm25(q, 10, **kw), kw)
 
 
+@pytest.mark.parametrize("which", ["big_searcher", "salted_searcher"])
+def test_ranked_order_is_read_only_int32(which, request):
+    """A term's cached ranked order is int32 (its df is far below
+    2^31), read-only, and holds lexsort's int64 order value for value;
+    the one-term top-k it gives equals the one taken with the int64
+    order, bitwise, at every k."""
+    s = IndexSearcher(request.getfixturevalue(which).index_dir)
+    by_df = _terms_by_df(s)
+    for t in (max(by_df, key=by_df.get), min(by_df, key=by_df.get)):
+        p, idf = s.postings(t), bm25_idf(by_df[t], s.n_docs)
+        w, order = s._bm25_state(t, p).ranked(p, 2, idf)
+        assert order.dtype == np.int32 and not order.flags.writeable
+        want = np.lexsort((p[0], -w))
+        assert order.tolist() == want.tolist()
+        for k in (1, 10, by_df[t]):
+            _assert_same(s.search_bm25_weighted([(t, 2, idf)], k),
+                         (p[0][want[:k]], w[want[:k]] + 0.0), (t, k))
+
+
 def test_counters_keys(big_searcher):
     """Every ranked query is tallied under the same keys, scans,
     one-term queries and queries with no known term included; a term's

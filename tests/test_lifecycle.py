@@ -373,10 +373,9 @@ def test_add_documents_finishes_an_interrupted_swap(ray_session, tmp_path, monke
 
 
 def test_fanout_task_counts_and_global_context(ray_session, tmp_path):
-    """Phase B and the merge run their shards as at most one task per
-    `task_num_cpus` CPUs (recorded in the meta), and the 1 MiB output
-    hint stays on each dataset's own context: the process-wide
-    DataContext keeps its default block size."""
+    """Phase B and the merge run their shards as at most one plain Ray
+    task per `task_num_cpus` CPUs (recorded in the meta), and neither
+    touches the process-wide DataContext."""
     import ray
     import ray.data as rd
     from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE, DataContext

@@ -4,6 +4,7 @@ fingerprints, documents-table adapter."""
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from mini_search_engine_ray.sources.corpus import (
@@ -42,7 +43,6 @@ def test_row_groups_read_in_separate_tasks(ray_session, tmp_path):
     batch_size=1024)`. Four row groups of 600 rows then make at least
     two such tasks; were the read fused into that map, it would bundle
     1,024 row-group descriptors, so all four into one task."""
-    import pyarrow as pa
     import ray
 
     def _task_ids(t):
@@ -54,6 +54,61 @@ def test_row_groups_read_in_separate_tasks(ray_session, tmp_path):
         _task_ids, batch_format="pyarrow", batch_size=1024).take_all()
     assert len(rows) == 2400
     assert len({r["task"] for r in rows}) >= 2
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    """Three corpus files of several row groups each (doc_id included),
+    written out of name order, plus a temp and a hidden file that a
+    directory read skips, as Arrow's dataset discovery does."""
+    d = tmp_path_factory.mktemp("corpus_dir")
+    t = synth_corpus(250, seed=21)
+    for name, lo, hi in (("b.parquet", 100, 250), ("a.parquet", 0, 60), ("ab.parquet", 60, 100)):
+        write_corpus_parquet(t.slice(lo, hi - lo), str(d / name), rows_per_group=32)
+    for junk in ("_tmp.a.parquet", ".hidden.parquet"):
+        write_corpus_parquet(t.slice(0, 5), str(d / junk))
+    return str(d)
+
+
+def _ordered(ds):
+    """The rows of `ds` as one table, in the order its blocks were
+    planned (`preserve_order` on the dataset's own context)."""
+    import ray
+
+    ds.context.execution_options.preserve_order = True
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+@pytest.mark.parametrize("columns", [None, ["content", "doc_id"]])
+@pytest.mark.parametrize("form", ["file", "list", "dir"])
+def test_read_corpus_matches_read_table(ray_session, corpus_dir, form, columns):
+    """`read_corpus` returns what `pyarrow.parquet.read_table` returns for
+    one multi-row-group file, a list of files and a directory: the same
+    rows, order and schema, with and without `columns`; and
+    `corpus_num_rows` counts those rows from the footers."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from mini_search_engine_ray.sources.corpus import corpus_num_rows, read_corpus
+
+    files = [os.path.join(corpus_dir, f) for f in ("a.parquet", "ab.parquet", "b.parquet")]
+    paths = {"file": files[2], "list": files, "dir": corpus_dir}[form]
+    want = pq.read_table(paths, columns=columns)
+    got = _ordered(read_corpus(paths, columns=columns))
+    assert got.schema.equals(want.schema)
+    assert got.equals(want)
+    assert corpus_num_rows(paths) == want.num_rows
+
+
+def test_doc_ids_from_directory(ray_session, corpus_dir):
+    """A directory read assigns doc_id i to row i of its sorted files,
+    replacing the files' own doc_id column."""
+    import pyarrow.parquet as pq
+
+    got = _ordered(read_corpus_with_doc_ids(corpus_dir, columns=["path"]))
+    assert got["doc_id"].to_pylist() == list(range(250))
+    assert got["path"].equals(pq.read_table(corpus_dir, columns=["path"])["path"])
 
 
 def test_synth_corpus_deterministic_and_edge_cases(ray_session):
