@@ -167,14 +167,19 @@ def corpus_fingerprint(paths: list[str]) -> str:
 
 
 def _parquet_files(paths: str | list[str]) -> list[str]:
-    """The sorted files of `paths`: a file, a list of files, or a
+    """The sorted files of `paths`: a file, a list of files, or a flat
     directory, which means its `.parquet` files but the `_`- and
-    `.`-prefixed ones (temp files; Arrow dataset discovery skips them)."""
+    `.`-prefixed ones (temp files; Arrow dataset discovery skips them).
+    A directory with a subdirectory (say, hive partitions) or with no
+    such file raises ValueError rather than read fewer rows."""
     import os
 
     if isinstance(paths, str) and os.path.isdir(paths):
-        paths = [os.path.join(paths, f) for f in os.listdir(paths)
-                 if f.endswith(".parquet") and not f.startswith(("_", "."))]
+        names = [f for f in os.listdir(paths) if not f.startswith(("_", "."))]
+        files = [os.path.join(paths, f) for f in names if f.endswith(".parquet")]
+        if not files or any(os.path.isdir(os.path.join(paths, f)) for f in names):
+            raise ValueError(f"{paths}: want a directory of .parquet files, no subdirectories")
+        paths = files
     return sorted([paths] if isinstance(paths, str) else paths)
 
 

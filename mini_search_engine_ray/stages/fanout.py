@@ -4,12 +4,9 @@ bucket ids) as at most one Ray task per CPU slot of the cluster.
 Phase B of `build_index` and the per-bucket merge both write one shard
 per key and return its one-row manifest. One task per key costs a task
 launch per shard, so the keys are packed round-robin into
-``min(n_keys, CPU // num_cpus)`` tasks. These are plain Ray tasks
-(`run_keyed`), not a Ray Data execution: they only hand out keys and
-return manifest rows, and a dataset's planning, operator start-up and
-block bookkeeping would cost more than the work of a small merge.
-`keyed_dataset` hands the same tasks' tables to Ray Data, for callers
-that feed them into further Ray Data operators.
+``min(n_keys, CPU // num_cpus)`` tasks. These are plain Ray tasks, not
+a Ray Data execution, whose fixed cost would exceed a small merge's
+work. `keyed_dataset` hands the same tasks' tables to Ray Data.
 
 A key group is one task: a retried task re-runs its whole group, so the
 per-key function must be idempotent (shard writes skip a committed
@@ -36,26 +33,22 @@ def keyed_task_count(n_keys: int, num_cpus: float = 1) -> int:
     return max(1, min(n_keys, slots))
 
 
-def _run_group(fn: Callable[[int], pa.Table], keys: list[int]) -> pa.Table:
-    """``fn(key)`` for every key of one group, concatenated."""
-    return pa.concat_tables([fn(k) for k in keys])
-
-
 @functools.cache
 def _group_task():
-    """`_run_group` as a Ray remote function, exported to the cluster
-    once per process rather than once per fan-out."""
+    """The remote ``fn(key)`` over one key group, concatenated; exported
+    to the cluster once per process rather than once per fan-out."""
     import ray
 
-    return ray.remote(_run_group)
+    @ray.remote
+    def run_group(fn: Callable[[int], pa.Table], keys: list[int]) -> pa.Table:
+        return pa.concat_tables([fn(k) for k in keys])
+
+    return run_group
 
 
-def _start_groups(
-    keys: Sequence[int], fn: Callable[[int], pa.Table], num_cpus: float
-) -> list:
-    """Start one plain Ray task of `num_cpus` CPUs per key group, the
-    keys dealt round-robin to `keyed_task_count` groups; returns the
-    refs of their tables."""
+def _start_groups(keys: Sequence[int], fn: Callable[[int], pa.Table], num_cpus: float) -> list:
+    """Start one task of `num_cpus` CPUs per key group (keys dealt
+    round-robin); returns the refs of their tables."""
     import ray
 
     n = keyed_task_count(len(keys), num_cpus)
@@ -68,8 +61,7 @@ def _start_groups(
 
 def keyed_dataset(keys: Sequence[int], fn: Callable[[int], pa.Table]):
     """Dataset of ``fn(key)`` for every key, one block per key group of
-    one-CPU tasks (started now), for callers that feed the tables into
-    further Ray Data operators."""
+    one-CPU tasks (started now)."""
     import ray.data as rd
 
     return rd.from_arrow_refs(_start_groups(list(keys), fn, 1))
@@ -79,12 +71,20 @@ def run_keyed(
     keys: Sequence[int], fn: Callable[[int], pa.Table], *, num_cpus: float = 1
 ) -> tuple[list[dict], int]:
     """Run ``fn(key)`` (a one-row manifest table) for every key in key
-    groups of `num_cpus` CPUs each (`_start_groups`); returns (manifest
-    rows, number of tasks). An exception raised by `fn` is raised here,
-    wrapped by Ray with its message."""
+    groups of `num_cpus` CPUs each; returns (manifest rows, number of
+    tasks). An exception raised by `fn` is raised here, wrapped by Ray
+    with its message, once every other group has stopped: the running
+    ones are cancelled, so a re-run never races a writer of this one."""
     import ray
 
     refs = _start_groups(keys, fn, num_cpus)
     if not refs:
         return [], 0
-    return pa.concat_tables(ray.get(refs)).to_pylist(), len(refs)
+    try:
+        tables = ray.get(refs)
+    except Exception:
+        for ref in refs:
+            ray.cancel(ref)
+        ray.wait(refs, num_returns=len(refs))  # returns once each has ended
+        raise
+    return pa.concat_tables(tables).to_pylist(), len(refs)

@@ -154,3 +154,56 @@ class TestResume:
                 assert x.read() == y.read(), f"shard {sid} differs"
         for key in ("n_docs", "total_tokens", "n_postings", "fingerprint"):
             assert meta[key] == ref_meta[key], key
+
+    def test_failed_merge_stops_running_groups_before_raising(self, ray_session, tmp_path,
+                                                              corpus, monkeypatch):
+        """One merge task fails while another is still writing its bucket:
+        the merge raises only once that task has been cancelled and has
+        ended, so an immediate re-run races no orphaned writer on the same
+        shards and ends byte-identical to an uninterrupted merge."""
+        import time
+
+        from mini_search_engine_ray.stages import fanout
+        from mini_search_engine_ray.stages import merge as merge_mod
+
+        a, b = str(tmp_path / "sa"), str(tmp_path / "sb")
+        kw = dict(num_buckets=8, positional=True, n_docs=60, write_docstore=False)
+        build_index(_ds_slice(corpus, 0, 60), a, fingerprint="sa", **kw)
+        build_index(_ds_slice(corpus, 60, 120), b, fingerprint="sb", **kw)
+        ref, m = str(tmp_path / "sref"), str(tmp_path / "sm")
+        merge_indexes([a, b], ref, merge_docstore=False)
+        bad, slow = list_shards(ref)[:2]  # the first buckets of groups 0 and 1
+        started, ended = str(tmp_path / "slow.started"), str(tmp_path / "slow.ended")
+        real = merge_mod.merge_bucket
+
+        def fails_while_other_writes(bucket, *args, **kw):
+            if bucket == slow:
+                open(started, "w").close()
+                try:
+                    t0 = time.time()
+                    while time.time() - t0 < 60:  # still at work when `bad` fails
+                        time.sleep(0.02)
+                    return real(bucket, *args, **kw)
+                finally:
+                    open(ended, "w").close()
+            if bucket == bad:
+                t0 = time.time()
+                while not os.path.exists(started) and time.time() - t0 < 30:
+                    time.sleep(0.01)
+                raise RuntimeError(f"merge task died at bucket {bucket}")
+            return real(bucket, *args, **kw)
+
+        monkeypatch.setattr(fanout, "keyed_task_count", lambda n_keys, num_cpus=1: min(2, n_keys))
+        monkeypatch.setattr(merge_mod, "merge_bucket", fails_while_other_writes)
+        with pytest.raises(Exception, match=f"died at bucket {bad}"):
+            merge_indexes([a, b], m, merge_docstore=False)
+        monkeypatch.undo()
+        assert os.path.exists(started), "the two groups did not run side by side"
+        assert os.path.exists(ended), "the slow group was still running after the raise"
+
+        meta = merge_indexes([a, b], m, merge_docstore=False)
+        assert meta["shards_skipped"] == 0
+        assert list_shards(m) == list_shards(ref)
+        for sid in list_shards(ref):
+            with open(shard_paths(m, sid)[0], "rb") as x, open(shard_paths(ref, sid)[0], "rb") as y:
+                assert x.read() == y.read(), f"shard {sid} differs"

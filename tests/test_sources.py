@@ -101,6 +101,25 @@ def test_read_corpus_matches_read_table(ray_session, corpus_dir, form, columns):
     assert corpus_num_rows(paths) == want.num_rows
 
 
+@pytest.mark.parametrize("layout", ["empty", "only_junk", "hive"])
+def test_directory_read_refuses_what_it_cannot_read_whole(tmp_path, layout):
+    """A directory with no readable `.parquet` file, or with a
+    subdirectory such as a hive partition, raises ValueError naming the
+    path instead of reading fewer rows (or none) silently."""
+    from mini_search_engine_ray.sources.corpus import corpus_num_rows, read_corpus
+
+    t = synth_corpus(20, seed=3)
+    if layout == "only_junk":
+        write_corpus_parquet(t, str(tmp_path / "_tmp.parquet"))
+    if layout == "hive":
+        write_corpus_parquet(t, str(tmp_path / "top.parquet"))
+        (tmp_path / "lang=py").mkdir()
+        write_corpus_parquet(t, str(tmp_path / "lang=py" / "part.parquet"))
+    for read in (read_corpus, read_corpus_with_doc_ids, corpus_num_rows):
+        with pytest.raises(ValueError, match=str(tmp_path)):
+            read(str(tmp_path))
+
+
 def test_doc_ids_from_directory(ray_session, corpus_dir):
     """A directory read assigns doc_id i to row i of its sorted files,
     replacing the files' own doc_id column."""
