@@ -20,10 +20,10 @@ Query surface (parity with `InvertedIndexManager`):
                    (IIM:1292-1449); ties broken by doc_id
   search_bm25      BM25 (k1=1.2, b=0.75) top-k — the north-rule
                    primary scoring, through one ranked path: an
-                   exhaustive term-at-a-time scan, except that a query
-                   whose rare term cuts off its dense terms probes them
-                   by binary search instead; bitwise equal to the scan
-                   (`prune=False`, tested against a bincount)
+                   exhaustive term-at-a-time scan over the query's
+                   doc-id span, except that a rare term over a wide
+                   span probes the others by binary search; bitwise
+                   equal to the scan (`prune=False`, tested against a bincount)
   delete_documents keyword tombstones filtered at query time
                    (IIM:1548-1551, 861-869); dropped at compaction
 
@@ -40,10 +40,11 @@ Cached arrays are read-only, as every later query shares them. qw is
 a token's count in its query, so one stream serves a term at qw 1 and
 2; idf is fixed per index or per global df. A warm BM25 query whose
 scales were served before thus only decides scan or probe from df and
-the bounds, adds or scatters cached weights per doc and selects its
-top-k (`_topk` sorts only the docs at or above the kth score; a
-one-term query slices its ranked order). Keywords' analyzed tokens
-are memoized too.
+the span and the bounds, adds or scatters cached weights per doc and
+selects its top-k (a scan compacts only the docs at or above a cut
+taken on its accumulator, `_topk` sorts only those at or above the
+kth score, a one-term query slices its ranked order). Keywords'
+analyzed tokens are memoized too.
 """
 
 from __future__ import annotations
@@ -164,21 +165,26 @@ def _kth(scores: np.ndarray, k: int):
     return np.partition(scores, n - k)[n - k]
 
 
+def _block_cut(scores: np.ndarray, k: int):
+    """The kth largest of the maxima of 4k blocks of `scores` (n >= 4k):
+    k blocks hold a score >= it, so it is <= the kth score, a cut that
+    keeps every top-k score (the eager top-k filter of *External Merge
+    Sort for Top-K Queries*, SIGMOD 2020)."""
+    m = len(scores) // (4 * k)
+    return _kth(scores[: 4 * k * m].reshape(4 * k, m).max(axis=1), k)
+
+
 def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int | None):
     """First k of (score desc, doc_id asc). For 0 < k < n only the
     docs scoring >= the kth score (every boundary tie included) are
-    sorted; k None, k <= 0 and k >= n sort everything, as slicing
-    the full order does. Scores must not be NaN (`np.partition`
-    ranks NaN above every number); no BM25 or tf-idf score is, as
-    every denominator and norm is positive."""
+    sorted, past a `_block_cut` when n >= 64k; k None, k <= 0 and
+    k >= n sort everything, as slicing the full order does. Scores
+    must not be NaN (`np.partition` ranks NaN above every number); no
+    BM25 or tf-idf score is, as every denominator and norm is positive."""
     n = len(scores)
     if k is not None and 0 < k < n:
         if n >= 64 * k:
-            # k of 4k block maxima are >= their kth largest, so it is
-            # <= the kth score: a cut that shrinks the partition
-            m = n // (4 * k)
-            cut = _kth(scores[: 4 * k * m].reshape(4 * k, m).max(axis=1), k)
-            keep = np.flatnonzero(scores >= cut)
+            keep = np.flatnonzero(scores >= _block_cut(scores, k))
             doc_ids, scores = doc_ids[keep], scores[keep]
         keep = np.flatnonzero(scores >= _kth(scores, k))
         doc_ids, scores = doc_ids[keep], scores[keep]
@@ -209,19 +215,20 @@ class _TermState:
     per-sub-shard block boundaries), `ub_unit`, the largest
     `tf*(K1+1)/den` over the block-max metadata (over the postings
     themselves when there is none), so that `qw*idf*ub_unit` bounds
-    every weight of the term, the span `mask` of a term the scan adds
-    as a `span`, and `scales`: for each query scale `(qw, idf)` served,
-    oldest first and at most SCALES_PER_TERM of them, the entry
-    [weights, span vector, ranked order], its weights computed on first
-    use and the other two when first asked for. All depend on `avgdl`,
-    kept here so the searcher can rebuild the state when its avgdl is
-    overridden; `counters` is the searcher's, which tallies
-    `weights_built`."""
+    every weight of the term, its first and last doc id `lo` and `hi`,
+    the span `mask` of a term the scan adds as a `span`, and `scales`:
+    for each query scale `(qw, idf)` served, oldest first and at most
+    SCALES_PER_TERM of them, the entry [weights, span vector, ranked
+    order], its weights computed on first use and the other two when
+    first asked for. All depend on `avgdl`, kept here so the searcher
+    can rebuild the state when its avgdl is overridden; `counters` is
+    the searcher's, which tallies `weights_built`."""
 
-    __slots__ = ("avgdl", "blocks", "ub_unit", "scales", "mask", "counters")
+    __slots__ = ("avgdl", "blocks", "ub_unit", "scales", "mask", "counters", "lo", "hi")
 
     def __init__(self, p, block_meta, avgdl: float, counters: Counter) -> None:
         self.avgdl, self.counters, self.mask = avgdl, counters, None  # mask: at first span
+        self.lo, self.hi = int(p[0][0]), int(p[0][-1])
         self.scales: dict[tuple[float, float], list] = {}
         if block_meta is None:
             self.blocks = 0
@@ -482,14 +489,7 @@ class IndexSearcher:
         """Docs containing ANY term with the given prefix (OR over the
         expanded terms), ascending doc_id. The prefix is matched against
         the index's stored (analyzed, stopword-stripped) terms."""
-        lists = []
-        for t in self.expand_prefix(prefix, max_expansion=max_expansion):
-            p = self.postings(t)
-            if p is not None:
-                lists.append(p[0])
-        if not lists:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(lists))
+        return self._or_postings(self.expand_prefix(prefix, max_expansion=max_expansion))
 
     def _or_postings(self, terms: list[str]) -> np.ndarray:
         """Ascending unique doc_ids of docs holding ANY of `terms`."""
@@ -628,16 +628,7 @@ class IndexSearcher:
         return cur
 
     def search_or(self, keywords: list[str]) -> np.ndarray:
-        per_kw = self._analyze_keywords(keywords)
-        lists = []
-        for toks in per_kw:
-            for t in toks:
-                p = self.postings(t)
-                if p is not None:
-                    lists.append(p[0])
-        if not lists:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(lists))
+        return self._or_postings([t for toks in self._analyze_keywords(keywords) for t in toks])
 
     def search_not(self, include: list[str], exclude: list[str]) -> np.ndarray:
         """Boolean difference: docs matching ALL `include` keywords and
@@ -782,9 +773,10 @@ class IndexSearcher:
                            sum from 0.0 gives
           several terms    a probe when one rare term's kth weight cuts
                            off every doc without it and binary search
-                           into the other terms costs less than
-                           scanning them (`_probe_plan`, `_bm25_probe`);
-                           otherwise the scan."""
+                           into the other terms costs less than the
+                           scan's pass over the span (`_probe_plan`,
+                           `_bm25_probe`); otherwise the scan, which
+                           takes its top-k from its accumulator."""
         terms = []
         for t, qw, idf in term_weights:
             p = self.postings(t)
@@ -812,6 +804,9 @@ class IndexSearcher:
     DENSE_ACCUM_MAX_DOCS = 10_000_000
     # a scan adds a term holding >= 1/SPAN_FILL of its span's ids whole
     SPAN_FILL = 4
+    # a probe's binary-search step costs about PROBE_STEP span slots of a
+    # scan term (2.2 against 0.54 ns, fitted on perfbench 6k and 60k mixes)
+    PROBE_STEP = 4
 
     @staticmethod
     def _theta_slack(theta: float) -> float:
@@ -853,68 +848,73 @@ class IndexSearcher:
         span: a term dense in its own span adds its `span` as slices,
         any other scatters its weights. Adding 0.0 to a sum begun at
         +0.0 changes nothing, so each score is bitwise `_accumulate`'s
-        bincount, which still serves spans above DENSE_ACCUM_MAX_DOCS."""
+        bincount, which still serves spans above DENSE_ACCUM_MAX_DOCS,
+        and a doc never hit sums to exactly 0.0: for k > 0 over a span of
+        >= 64k ids, a `_block_cut` > 0 of the sums keeps only hits, and
+        only the docs at or above it go to `_topk`; else every hit doc."""
         docs = [p[0] for _, _, p, _ in terms]
         self.counters["postings_scored"] += sum(map(len, docs))
-        lo = min(int(d[0]) for d in docs)
-        n = max(int(d[-1]) for d in docs) - lo + 1
+        lo = min(t[3].lo for t in terms)
+        n = max(t[3].hi for t in terms) - lo + 1
         if n > self.DENSE_ACCUM_MAX_DOCS:
             uniq, scores = self._accumulate(
                 np.concatenate(docs), np.concatenate([_term_weights(t) for t in terms]))
+            admitted = len(uniq)
         else:
             acc, hit = np.zeros(n), np.zeros(n, dtype=bool)
             for (qw, idf, p, st), d in zip(terms, docs):
-                if self.SPAN_FILL * len(d) >= d[-1] - d[0] + 1:
-                    (m, w), i = st.span(p, qw, idf), slice(int(d[0]) - lo, int(d[-1]) - lo + 1)
+                if self.SPAN_FILL * len(d) >= st.hi - st.lo + 1:
+                    (m, w), i = st.span(p, qw, idf), slice(st.lo - lo, st.hi - lo + 1)
                     self.counters["span_terms"] += 1
                 else:  # doc ids are unique within a term
                     m, w, i = True, st.weights(p, qw, idf), d - lo
                 acc[i] += w
                 hit[i] |= m
-            idx = np.flatnonzero(hit)
+            admitted, keep = int(np.count_nonzero(hit)), hit
+            if k is not None and 0 < 64 * k <= n and (cut := _block_cut(acc, k)) > 0:
+                keep = acc >= cut
+            idx = np.flatnonzero(keep)
             uniq, scores = idx + lo, acc[idx]
-        self.counters["candidates_admitted"] += len(uniq)
+        self.counters["candidates_admitted"] += admitted
         return _topk(uniq, scores, k)
 
-    @staticmethod
-    def _df_scans(dfs: list[int], k: int) -> bool:
-        """True when df alone shows that `_probe_plan` rejects whichever
-        term h has the highest bound: no term holds k docs, or the cost
-        rule fails for every h. With lo the smallest df and j =
-        floor(log2(lo + 1)), each log2(df + 1) is >= j, so df_h *
-        sum_others log2(df+1) >= lo * j * (n - 1), while sum_others df
-        <= sum(dfs) - lo. These integers are no larger than the float
-        rule's own operands, so it rejects only queries that rule
-        rejects."""
-        lo = min(dfs)
-        return max(dfs) < k or lo * ((lo + 1).bit_length() - 1) * (len(dfs) - 1) >= sum(dfs) - lo
+    @classmethod
+    def _span_scans(cls, dfs: list[int], span: int, k: int) -> bool:
+        """True when df and the span alone show that `_probe_plan`
+        rejects every h: no term holds k docs, or the cost rule fails
+        with the smallest df, lo, as h and as every other term (each
+        log2(df + 1) is >= j = floor(log2(lo + 1))). These integers are
+        no larger than the rule's own operands, so it rejects only
+        queries that rule rejects."""
+        lo, n = min(dfs), len(dfs)
+        return max(dfs) < k or cls.PROBE_STEP * lo * ((lo + 1).bit_length() - 1) * (n - 1) >= span * n
 
     def _probe_plan(self, terms, k: int):
         """(h, weights of h) when the other terms can be probed with h's
-        docs as the only candidates and probing them is cheaper than
-        scanning them, else None.
+        docs as the only candidates and probing is cheaper than the
+        scan, else None.
 
         h is the term with the highest bound and theta its k-th weight:
         weights being non-negative, at least k docs score >= theta (the
-        eager cutoff of *External Merge Sort for Top-K Queries*, SIGMOD
-        2020). When the other terms' bound sum stays below
-        `_theta_slack(theta)`, a doc without h scores below the kth, so
-        h's docs are the candidates. Probing costs one binary search per
-        candidate per other term; scanning costs their postings:
-            df_h * sum_others log2(df+1) < sum_others df.
-        The cost rule needs df alone, so it runs first: `_df_scans`
-        sends a query that no choice of h could probe to the scan before
-        any bound is computed, and the rule for h itself runs before any
-        weight or partition is."""
+        eager cutoff of `_block_cut`'s paper). When the other terms'
+        bound sum stays below `_theta_slack(theta)`, a doc without h
+        scores below the kth, so h's docs are the candidates. A probe
+        binary-searches each other term once per candidate; the scan
+        adds every term over the query's doc-id span. It probes when
+            PROBE_STEP * df_h * sum_others log2(df+1) < span * n_terms:
+        a rare term over a wide span. `_span_scans` sends a query that
+        no h could probe to the scan before any bound is computed, and
+        the rule for h runs before any weight or partition is."""
         dfs = [len(p[0]) for _, _, p, _ in terms]
-        if self._df_scans(dfs, k):
+        span = max(t[3].hi for t in terms) - min(t[3].lo for t in terms) + 1
+        if self._span_scans(dfs, span, k):
             return None
         ubs = [qw * idf * st.ub_unit for qw, idf, _, st in terms]
         h = ubs.index(max(ubs))
         others = [i for i in range(len(terms)) if i != h]
         if (dfs[h] < k or min(ubs) < 0.0
-                or not dfs[h] * sum(math.log2(dfs[i] + 1) for i in others)
-                < sum(dfs[i] for i in others)):
+                or not self.PROBE_STEP * dfs[h] * sum(math.log2(dfs[i] + 1) for i in others)
+                < span * len(terms)):
             return None
         w_h = _term_weights(terms[h])
         if not sum(ubs[i] for i in others) < self._theta_slack(_kth(w_h, k)):

@@ -18,11 +18,12 @@ the 10^12 range (the sparse accumulator).
 
 Also pinned here: the choice between scan and probe (a dense query
 scans, a rare term lets a common one be probed, a near-tie at the
-cutoff stays exact, the df-only scan rule changes no choice), k at
-every edge, the partition-based `_topk` against a full lexsort, the
-per-term BM25 weight and span-vector cache under a change of query
-scale and an avgdl override, read-only cached arrays, and the work counters every ranked
-query tallies.
+cutoff stays exact, the df-and-span pre-test changes no choice), k at
+every edge, the scan's top-k taken from its accumulator and the
+partition-based `_topk` against a full lexsort, the per-term BM25
+weight and span-vector cache under a change of query scale and an
+avgdl override, read-only cached arrays, and the work counters every
+ranked query tallies.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import pytest
 from mini_search_engine_ray.pipelines.build import build_index
 from mini_search_engine_ray.sources.corpus import synth_corpus
 from mini_search_engine_ray.stages.shards import list_shards, open_shard
+from mini_search_engine_ray.state import searcher as searcher_mod
 from mini_search_engine_ray.state.distributed import PartsSearcher, build_partitioned_index
 from mini_search_engine_ray.state.searcher import (
     COUNTER_KEYS,
@@ -261,6 +263,61 @@ def test_scan_bitwise_equals_bincount_oracle(which, request):
         assert spans > 50 and not sparse
 
 
+@pytest.mark.parametrize("which", ["big_searcher", "salted_searcher", "offset_part",
+                                   "spread_searcher"])
+def test_scan_topk_from_accumulator_equals_oracle(which, request, monkeypatch):
+    """A scan cuts its dense accumulator by `_block_cut` and compacts
+    only the docs at or above a cut > 0; a cut <= 0 compacts every hit
+    doc. At k 1, 10, 50, hits - 1, hits and None, the ranked path and
+    `prune=False` both give `_bincount_oracle`'s first k bitwise, and
+    the scan tallies every hit doc as admitted. Two queries cut <= 0 on
+    purpose: one term at query weight 0 (every sum is 0.0) and two rare
+    terms with fewer hit docs than k; the seeded ones cut > 0. The
+    offset part's span does not start at doc 0; the spread index sums
+    through the sparse path and cuts nothing."""
+    s = request.getfixturevalue(which)
+    cuts, block_cut = [], searcher_mod._block_cut
+    monkeypatch.setattr(searcher_mod, "_block_cut",
+                        lambda sc, k: cuts.append((len(sc), block_cut(sc, k))) or cuts[-1][1])
+    by_df = _terms_by_df(s)
+    ranked = sorted(by_df, key=lambda t: (by_df[t], t))
+
+    def span(terms) -> int:
+        docs = [s.postings(t)[0] for t in terms]
+        return int(max(d[-1] for d in docs) - min(d[0] for d in docs)) + 1
+
+    def triples(terms, qw):
+        return [(t, qw, bm25_idf(by_df[t], s.n_docs)) for t in terms]
+
+    zero = next(t for t in ranked if by_df[t] >= 5 and 64 * by_df[t] <= span([t]))
+    rare = [t for t in ranked if 2 <= by_df[t] <= 4]
+    few = next([a, b] for a, b in zip(rare, rare[1:])
+               if by_df[a] + by_df[b] < 10 and span([a, b]) >= 640)
+    edges = [triples([zero], 0.0), triples(few, 1.0)]
+    rng = np.random.default_rng(59)
+    seeded = [triples(dict.fromkeys(str(rng.choice(ranked[-40:] if rng.random() < 0.7 else ranked))
+                                    for _ in range(int(rng.integers(1, 5)))),
+                      float(rng.choice([1.0, 2.0, 0.37]))) for _ in range(30)]
+    positive = 0
+    for i, tw in enumerate(edges + seeded):
+        want = _bincount_oracle(s, tw)
+        hits = len(want[0])
+        del cuts[:]
+        for k in dict.fromkeys((1, 10, 50, hits - 1, hits, None)):
+            for prune in (True, False):
+                before = s.counters["candidates_admitted"]
+                got = s.search_bm25_weighted(tw, k, prune=prune)
+                _assert_same(got, (want[0][:k], want[1][:k]), (tw, k, prune))
+                if not prune:
+                    assert s.counters["candidates_admitted"] - before == hits, (tw, k)
+        # the scan's cuts: those taken over its whole span
+        scan_cuts = [c for n, c in cuts if n == span([t for t, _, _ in tw])]
+        if i < len(edges) and which != "spread_searcher":
+            assert scan_cuts and min(scan_cuts) <= 0, (tw, scan_cuts)
+        positive += any(c > 0 for c in scan_cuts)
+    assert positive > 10 or which == "spread_searcher"
+
+
 def test_zero_weight_term_keeps_its_docs(big_searcher, offset_part, spread_searcher):
     """External triples may carry qw = 0: a doc hit only by that term
     is still a candidate, with score exactly 0.0, on the span path and
@@ -289,16 +346,17 @@ def _terms_by_df(s) -> dict[str, int]:
 
 @pytest.mark.parametrize("which", ["big_searcher", "salted_searcher"])
 def test_df_rule_keeps_every_scan_or_probe_choice(which, request):
-    """`_df_scans` sends a query to the scan from df alone, ahead of the
-    bounds; it may only reject what the bound rule rejects. Over 2,400
-    seeded queries mixing rare, middling and common terms, a searcher
-    with it tallies the same counters after every query, and returns
-    the same results, as one that runs the bound rule alone."""
+    """`_span_scans` sends a query to the scan from df and the doc-id
+    span alone, ahead of the bounds; it may only reject what the cost
+    rule for h rejects. Over 2,400 seeded queries mixing rare, middling
+    and common terms, a searcher with it tallies the same counters
+    after every query, and returns the same results, as one that runs
+    the cost rule alone."""
     d = request.getfixturevalue(which).index_dir
     s, ref = IndexSearcher(d), IndexSearcher(d)
-    ref._df_scans = lambda dfs, k: False
+    ref._span_scans = lambda dfs, span, k: False
     fired, probed = [], []
-    s._df_scans = lambda dfs, k: fired.append(IndexSearcher._df_scans(dfs, k)) or fired[-1]
+    s._span_scans = lambda *a: fired.append(IndexSearcher._span_scans(*a)) or fired[-1]
     s._bm25_probe = lambda *a: probed.append(1) or IndexSearcher._bm25_probe(s, *a)
     by_df = _terms_by_df(s)
     bands = [sorted(t for t, df in by_df.items() if lo <= df < hi)
@@ -313,7 +371,7 @@ def test_df_rule_keeps_every_scan_or_probe_choice(which, request):
         k = int(rng.choice([1, 3, 10, 50]))
         _assert_same(s.search_bm25_weighted(tw, k), ref.search_bm25_weighted(tw, k), (tw, k))
         assert s.counters == ref.counters, (i, tw, k)
-    # both outcomes of the df rule, and probes among what it lets through
+    # both outcomes of the pre-test, and probes among what it lets through
     assert sum(fired) > 100 and len(fired) - sum(fired) > 100
     assert len(probed) > 100
 

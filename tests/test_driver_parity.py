@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -65,9 +66,23 @@ def con():
 
 @pytest.fixture(scope="module")
 def registry(ray_session):
-    import __ray_entry__ as e
+    import ray
 
-    return e.queries(), e.oracle_sql()
+    import __ray_entry__ as e
+    from mini_search_engine_ray.pipelines import driver_queries
+
+    yield e.queries(), e.oracle_sql()
+    # the registry keeps one DistributedSearcher actor fleet per index for
+    # the rest of a driver's session; in the shared test session they
+    # would hold CPUs that later modules' tasks wait for
+    for s in driver_queries._DIST_SEARCHERS.values():
+        s.shutdown()
+    driver_queries._DIST_SEARCHERS.clear()
+    total, deadline = ray.cluster_resources()["CPU"], time.monotonic() + 30
+    while ray.available_resources().get("CPU", 0.0) < total and time.monotonic() < deadline:
+        time.sleep(0.2)
+    held = total - ray.available_resources().get("CPU", 0.0)
+    assert held == 0, f"{held} of {total} CPUs still held after the registry's queries"
 
 
 def test_entry_smoke(ray_session):
